@@ -1,0 +1,24 @@
+"""Argument check shared by the public entry points."""
+
+import math
+
+_REAL = (int, float)
+
+
+def real_in(name, value, low=0.0, high=math.inf, low_closed=False, high_closed=False) -> float:
+    """`value` as a float when it is a real number inside the interval.
+
+    Ends are open unless marked closed, so the defaults accept exactly the
+    positive finite reals and NaN never passes.  Otherwise raises ValueError
+    naming the parameter and the allowed interval.
+    """
+    if (
+        isinstance(value, _REAL)
+        and (low < value or low_closed and low == value)
+        and (value < high or high_closed and value == high)
+    ):
+        return float(value)
+    raise ValueError(
+        "%s must lie in %s%g, %g%s, got %r"
+        % (name, "[" if low_closed else "(", low, high, "]" if high_closed else ")", value)
+    )

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from ._checks import real_in
+
 __all__ = [
     "CaputoChannel",
     "InconsistentStateError",
@@ -26,12 +28,6 @@ __all__ = [
 
 class InconsistentStateError(RuntimeError):
     """The stored sample history does not match the requested step count."""
-
-
-def _check_order(beta: float) -> float:
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and 0.0 < beta <= 1.0):
-        raise ValueError("fractional order must lie in (0, 1], got %r" % (beta,))
-    return float(beta)
 
 
 def memory_weights(beta: float, n: int) -> np.ndarray:
@@ -47,7 +43,7 @@ def memory_weights(beta: float, n: int) -> np.ndarray:
     Constant samples reproduce t**beta / Gamma(beta+1) exactly at every grid
     point; with beta = 1 the weights are the trapezoidal rule's.
     """
-    beta = _check_order(beta)
+    beta = real_in("fractional order", beta, 0.0, 1.0, high_closed=True)
     if not (isinstance(n, (int, np.integer)) and n >= 0):
         raise ValueError("step index must be a nonnegative integer, got %r" % (n,))
     if n == 0:
@@ -71,7 +67,7 @@ def predictor_weights(beta: float, n: int) -> np.ndarray:
     Length-n positive vector b with  theta_pred = theta(0) + h**beta * dot(b, g).
     With beta = 1 all weights are 1 (the explicit Euler sum).
     """
-    beta = _check_order(beta)
+    beta = real_in("fractional order", beta, 0.0, 1.0, high_closed=True)
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError("predictor needs at least one stored sample, got n=%r" % (n,))
     idx = np.arange(n + 1, dtype=float)
@@ -88,10 +84,8 @@ class CaputoChannel:
     """
 
     def __init__(self, beta: float, initial_value: float = 0.0):
-        self.beta = _check_order(beta)
-        if not (isinstance(initial_value, (int, float)) and math.isfinite(initial_value)):
-            raise ValueError("initial value must be finite, got %r" % (initial_value,))
-        self.initial_value = float(initial_value)
+        self.beta = real_in("fractional order", beta, 0.0, 1.0, high_closed=True)
+        self.initial_value = real_in("initial value", initial_value, -math.inf)
         self._g = np.empty(64)
         self._n = 0
         self._rg1 = 1.0 / math.gamma(self.beta + 1.0)
@@ -150,8 +144,7 @@ class CaputoChannel:
         n = self._n
         if n < 1:
             raise InconsistentStateError("predict needs at least one stored sample")
-        if not (step > 0 and math.isfinite(step)):
-            raise ValueError("step must be a positive finite real, got %r" % (step,))
+        real_in("step", step)
         self._ensure(n)
         acc = float(np.dot(self._pd[:n], self._g[n - 1 :: -1]))
         return self.initial_value + step ** self.beta * self._rg1 * acc
@@ -166,8 +159,7 @@ class CaputoChannel:
         n = self._n
         if n < 1:
             raise InconsistentStateError("correct needs at least one stored sample")
-        if not (step > 0 and math.isfinite(step)):
-            raise ValueError("step must be a positive finite real, got %r" % (step,))
+        real_in("step", step)
         self._ensure(n)
         a0 = self._pw1[n - 1] - (n - 1.0 - self.beta) * self._pw[n]
         acc = a0 * self._g[0] + float(new_sample)
@@ -186,8 +178,7 @@ def caputo_advance(channel: CaputoChannel, rhs_history, step: float) -> float:
     """
     if not isinstance(channel, CaputoChannel):
         raise TypeError("caputo_advance needs a CaputoChannel, got %r" % (channel,))
-    if not (isinstance(step, (int, float)) and math.isfinite(step) and step > 0):
-        raise ValueError("step must be a positive finite real, got %r" % (step,))
+    real_in("step", step)
     rhs = np.asarray(rhs_history, dtype=float)
     if rhs.ndim != 1 or len(rhs) != len(channel) + 1 or len(rhs) < 2:
         raise InconsistentStateError(
@@ -206,10 +197,8 @@ def solve_caputo(beta, rhs, t_final, step, initial_value=0.0):
     at each accepted state is what enters the memory, per the
     predict-evaluate-correct-evaluate pattern.
     """
-    if not (isinstance(t_final, (int, float)) and t_final > 0 and math.isfinite(t_final)):
-        raise ValueError("final time must be a positive finite real, got %r" % (t_final,))
-    if not (isinstance(step, (int, float)) and 0 < step <= t_final):
-        raise ValueError("step must lie in (0, final time], got %r" % (step,))
+    real_in("final time", t_final)
+    real_in("step", step, 0.0, t_final, high_closed=True)
     n_steps = int(round(t_final / step))
     ch = CaputoChannel(beta, initial_value)
     times = np.arange(n_steps + 1) * step

@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._checks import real_in
 from .problems import Problem
 from .special import ZeroQuery, ml_first_positive_zero
 
@@ -63,24 +64,6 @@ class FlowVariant(Enum):
     FIXED_TIME_FRACTIONAL = "fixed_time_fractional"
 
 
-def _finite_pos(name, v):
-    if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-        raise ValueError("%s must be a positive finite real, got %r" % (name, v))
-    return float(v)
-
-
-def _finite_nonneg(name, v):
-    if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-        raise ValueError("%s must be a nonnegative finite real, got %r" % (name, v))
-    return float(v)
-
-
-def _norm_exponent(name, v):
-    if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 < v <= 2.0):
-        raise ValueError("%s must lie in (0, 2], got %r" % (name, v))
-    return float(v)
-
-
 @dataclass(frozen=True)
 class FlowLaw:
     """Parameters of one descent design.
@@ -105,20 +88,14 @@ class FlowLaw:
             object.__setattr__(self, "variant", FlowVariant(self.variant))
         elif not isinstance(self.variant, FlowVariant):
             raise ValueError("unknown flow variant %r" % (self.variant,))
-        object.__setattr__(self, "rho", _finite_pos("rho", self.rho))
-        object.__setattr__(self, "alpha", _norm_exponent("alpha", self.alpha))
-        object.__setattr__(self, "lam", _finite_nonneg("lambda", self.lam))
-        object.__setattr__(self, "delta", _finite_nonneg("delta", self.delta))
+        object.__setattr__(self, "rho", real_in("rho", self.rho))
+        object.__setattr__(self, "alpha", real_in("alpha", self.alpha, 0.0, 2.0, high_closed=True))
+        object.__setattr__(self, "lam", real_in("lambda", self.lam, low_closed=True))
+        object.__setattr__(self, "delta", real_in("delta", self.delta, low_closed=True))
         if self.variant is FlowVariant.FIXED_TIME_FRACTIONAL:
             if self.beta is None:
                 raise ValueError("the fractional variant needs a fractional order beta")
-            if not (
-                isinstance(self.beta, (int, float))
-                and math.isfinite(self.beta)
-                and 0.0 < self.beta < 1.0
-            ):
-                raise ValueError("fractional order beta must lie in (0, 1), got %r" % (self.beta,))
-            object.__setattr__(self, "beta", float(self.beta))
+            object.__setattr__(self, "beta", real_in("fractional order beta", self.beta, 0.0, 1.0))
         elif self.beta is not None:
             raise ValueError(
                 "beta only applies to the fractional variant, got beta=%r for %s"
@@ -133,15 +110,10 @@ class FlowLaw:
 
 @dataclass
 class FlowState:
-    """Instantaneous state of a flow: decision vector plus optional gain.
-
-    `memory` holds the fractional channel for the fractional variant; the
-    simulator owns and wires it.
-    """
+    """Instantaneous state of a flow: decision vector plus optional gain."""
 
     x: np.ndarray
     theta: Optional[float] = None
-    memory: Optional[object] = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -237,10 +209,10 @@ def bound_finite_time(
     with mu the strong-convexity constant.  Both grow with the initial
     distance d — the guarantee is finite-time, not fixed-time.
     """
-    lipschitz = _finite_pos("lipschitz", lipschitz)
-    rho = _finite_pos("rho", rho)
-    alpha = _norm_exponent("alpha", alpha)
-    d = _finite_nonneg("initial_distance", initial_distance)
+    lipschitz = real_in("lipschitz", lipschitz)
+    rho = real_in("rho", rho)
+    alpha = real_in("alpha", alpha, 0.0, 2.0, high_closed=True)
+    d = real_in("initial_distance", initial_distance, low_closed=True)
     if alpha == 2.0:
         inputs = {
             "lipschitz": lipschitz,
@@ -257,7 +229,7 @@ def bound_finite_time(
         raise InsufficientConstantsError(
             "alpha=%g < 2 needs the strong-convexity constant" % alpha
         )
-    mu = _finite_pos("strong_convexity", strong_convexity)
+    mu = real_in("strong_convexity", strong_convexity)
     inputs = {
         "lipschitz": lipschitz,
         "strong_convexity": mu,
@@ -288,11 +260,11 @@ def bound_fixed_time_second_order(
     extras['alpha2_variant_bound'] with the general formula kept
     authoritative.
     """
-    lipschitz = _finite_pos("lipschitz", lipschitz)
-    mu = _finite_pos("strong_convexity", strong_convexity)
-    rho = _finite_pos("rho", rho)
-    alpha = _norm_exponent("alpha", alpha)
-    lam = _finite_nonneg("lambda", lam)
+    lipschitz = real_in("lipschitz", lipschitz)
+    mu = real_in("strong_convexity", strong_convexity)
+    rho = real_in("rho", rho)
+    alpha = real_in("alpha", alpha, 0.0, 2.0, high_closed=True)
+    lam = real_in("lambda", lam, low_closed=True)
     gate = 8.0 * rho * mu * mu / (alpha * lipschitz)
     if not lam * lam < gate:
         raise ConditionNotMetError(
@@ -340,13 +312,11 @@ def bound_fixed_time_fractional(
     drive coefficient c = 4 rho mu^2 / (alpha L).  Search failures from the
     zero finder propagate (raise the horizon for very small c).
     """
-    lipschitz = _finite_pos("lipschitz", lipschitz)
-    mu = _finite_pos("strong_convexity", strong_convexity)
-    rho = _finite_pos("rho", rho)
-    alpha = _norm_exponent("alpha", alpha)
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and 0.0 < beta < 1.0):
-        raise ValueError("fractional order beta must lie in (0, 1), got %r" % (beta,))
-    beta = float(beta)
+    lipschitz = real_in("lipschitz", lipschitz)
+    mu = real_in("strong_convexity", strong_convexity)
+    rho = real_in("rho", rho)
+    alpha = real_in("alpha", alpha, 0.0, 2.0, high_closed=True)
+    beta = real_in("fractional order beta", beta, 0.0, 1.0)
     c = 4.0 * rho * mu * mu / (alpha * lipschitz)
     zero = ml_first_positive_zero(
         ZeroQuery(alpha=beta + 1.0, rho=c), tol=zero_tol, horizon=horizon

@@ -1,14 +1,16 @@
 """Fixed-step integration of flow laws with convergence detection.
 
-The integer-order states advance by Heun's predictor-corrector; the
-fractional gain advances by the memory channel on the same uniform grid.
-Near the minimizer the regularized field becomes stiff for an explicit
-scheme (its local rate scales like rho/delta^alpha), so each step carries a
-guard: when the step looks oscillatory or the Lyapunov value would tick up
-past a small fraction of its allowance, the step is redone with power-of-two
-substeps until the ascent is resolved.  Substeps refine only the decision
-vector's clock; the fractional memory stays on the coarse grid (its own
-right-hand side is smooth through the terminal zone).
+One Heun routine advances (x, theta) for every law.  The law only picks,
+once per run, the rule that moves the gain: held fixed, a trapezoid step of
+its linear ODE, or the Caputo corrector of the memory channel, which
+advances on the same uniform grid.  Near the minimizer the regularized field
+becomes stiff for an explicit scheme (its local rate scales like
+rho/delta^alpha), so each step carries a guard: when the step looks
+oscillatory or the Lyapunov value would tick up past a small fraction of its
+allowance, the step is redone with power-of-two substeps until the ascent is
+resolved.  Substeps refine only the decision vector's clock; the fractional
+memory stays on the coarse grid (its own right-hand side is smooth through
+the terminal zone).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._checks import real_in
 from .caputo import CaputoChannel
 from .flows import (
     BoundReport,
@@ -76,16 +79,14 @@ class SimOptions:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.step, (int, float)) and 0.0 < self.step and math.isfinite(self.step)):
-            raise ValueError("step must be a positive finite real, got %r" % (self.step,))
-        if not (isinstance(self.horizon, (int, float)) and math.isfinite(self.horizon)):
-            raise ValueError("horizon must be finite, got %r" % (self.horizon,))
+        real_in("step", self.step)
+        real_in("horizon", self.horizon, -math.inf)
         if not self.step < self.horizon:
             raise ValueError(
                 "step %g must be smaller than the horizon %g" % (self.step, self.horizon)
             )
-        if not (self.eps_x > 0 and self.eps_g > 0):
-            raise ValueError("detection tolerances must be positive")
+        real_in("eps_x", self.eps_x)
+        real_in("eps_g", self.eps_g)
         if not (isinstance(self.record_stride, (int, np.integer)) and self.record_stride >= 1):
             raise ValueError("record stride must be a positive integer, got %r" % (self.record_stride,))
 
@@ -112,45 +113,28 @@ class Trajectory:
         return self.states[-1]
 
 
-def _converged(x, grad_norm_fn, xstar, opts) -> bool:
-    if xstar is not None:
-        return float(np.linalg.norm(x - xstar)) <= opts.eps_x
-    return grad_norm_fn(x) <= opts.eps_g
+def _heun(law, problem, gain, x, theta, d1, h, m):
+    """m Heun substeps of (x, theta) across one grid step h.
 
-
-def _substep_fixed_gain(law, problem, x, theta, h, m):
-    """m Heun substeps of the decision vector with the gain held fixed.
-
-    Also reports the worst rate-times-substep seen, so the caller can tell
-    whether this resolution is inside the scheme's monotone-stable range.
+    `d1` is the field at (x, theta).  `gain(theta, d1, xp, hs)` returns the
+    field at the predicted point xp together with the gain at the end of the
+    substep, so the rule alone decides how theta moves.  Also reports the
+    worst rate-times-substep seen, so the caller can tell whether this
+    resolution is inside the scheme's monotone-stable range.
     """
     hs = h / m
     worst = 0.0
-    for _ in range(m):
-        d1 = vector_field(law, problem, FlowState(x=x, theta=theta))
+    for i in range(m):
+        if i:
+            d1 = vector_field(law, problem, FlowState(x=x, theta=theta))
         xp = x + hs * d1.dx
-        d2 = vector_field(law, problem, FlowState(x=xp, theta=theta))
+        d2, theta = gain(theta, d1, xp, hs)
+        # no first-order motion (e.g. starting from rest) means the Heun
+        # correction itself is the motion, not an oscillation
         move = float(np.linalg.norm(xp - x))
         if move > 0.0:
             worst = max(worst, hs * float(np.linalg.norm(d2.dx - d1.dx)) / move)
         x = x + 0.5 * hs * (d1.dx + d2.dx)
-    return x, theta, worst
-
-
-def _substep_coupled(law, problem, x, theta, h, m):
-    """m Heun substeps of the coupled vector-and-gain pair."""
-    hs = h / m
-    worst = 0.0
-    for _ in range(m):
-        d1 = vector_field(law, problem, FlowState(x=x, theta=theta))
-        xp = x + hs * d1.dx
-        tp = theta + hs * d1.dtheta
-        d2 = vector_field(law, problem, FlowState(x=xp, theta=tp))
-        move = float(np.linalg.norm(xp - x))
-        if move > 0.0:
-            worst = max(worst, hs * float(np.linalg.norm(d2.dx - d1.dx)) / move)
-        x = x + 0.5 * hs * (d1.dx + d2.dx)
-        theta = theta + 0.5 * hs * (d1.dtheta + d2.dtheta)
     return x, theta, worst
 
 
@@ -173,26 +157,50 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
 
+    # gain rules: each returns the field at the predicted point and the gain
+    # at the end of the step
+    def frozen(theta, d1, xp, hs):
+        return vector_field(law, problem, FlowState(x=xp, theta=theta)), theta
+
+    def coupled(theta, d1, xp, hs):
+        d2 = vector_field(law, problem, FlowState(x=xp, theta=theta + hs * d1.dtheta))
+        return d2, theta + 0.5 * hs * (d1.dtheta + d2.dtheta)
+
+    def caputo(theta, d1, xp, hs):
+        # d1 is the field at the accepted state, so its drive is the sample
+        # the memory takes for that grid point
+        channel.push(d1.dtheta)
+        drive = vector_field(law, problem, FlowState(x=xp, theta=theta)).dtheta
+        tp = channel.correct(hs, drive)
+        return vector_field(law, problem, FlowState(x=xp, theta=tp)), tp
+
+    # the fractional guard substeps only the vector clock: the gain keeps its
+    # coarse-grid corrected value and the memory stays on the coarse grid
+    channel = None
+    if law.variant is FlowVariant.FIXED_TIME_FRACTIONAL:
+        channel = CaputoChannel(law.beta, 0.0)
+        trial, guard = caputo, frozen
+    elif law.uses_gain:
+        trial = guard = coupled
+    else:
+        trial = guard = frozen
+
     xstar = problem.minimizer
-    use_gain = law.uses_gain
-    fractional = law.variant is FlowVariant.FIXED_TIME_FRACTIONAL
-    channel = CaputoChannel(law.beta, 0.0) if fractional else None
-    theta = 0.0 if use_gain else None
+    theta = 0.0 if law.uses_gain else None
     h = opts.step
     n_steps = int(math.ceil(opts.horizon / h - 1e-9))
 
-    def grad_norm(z):
-        return float(np.linalg.norm(problem.gradient(z)))
-
     times = [0.0]
     states = [x.copy()]
-    gains = [0.0] if use_gain else None
+    gains = [0.0] if law.uses_gain else None
     lyap = None
-    v_quarter = None
+    # without a minimizer there is no Lyapunov value, hence no ascent guard
+    ascent, v_quarter = -math.inf, math.inf
     if xstar is not None:
-        v0 = float(np.linalg.norm(x - xstar) ** 2)
-        lyap = [v0]
-        v_quarter = _UPTICK_TARGET * _UPTICK_FRACTION * v0
+        dist = np.linalg.norm(x - xstar)
+        v = float(dist ** 2)
+        lyap = [v]
+        v_quarter = _UPTICK_TARGET * _UPTICK_FRACTION * v
 
     diagnostics = {"substepped_steps": 0, "max_substeps": 1, "residual_ascent_steps": 0}
 
@@ -206,120 +214,83 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
             diagnostics=diagnostics,
         )
 
-    if _converged(x, grad_norm, xstar, opts):
+    if xstar is not None:
+        done = float(dist) <= opts.eps_x
+    else:
+        done = float(np.linalg.norm(problem.gradient(x))) <= opts.eps_g
+    if done:
         return build(0.0)
-
-    if fractional:
-        d0 = vector_field(law, problem, FlowState(x=x, theta=theta))
-        channel.push(d0.dtheta)
+    d1 = vector_field(law, problem, FlowState(x=x, theta=theta))
 
     for k in range(1, n_steps + 1):
         t = k * h
+        x_new, theta_new, rate_times_step = _heun(law, problem, trial, x, theta, d1, h, 1)
+        if xstar is not None:
+            dist_new = np.linalg.norm(x_new - xstar)
+            v_new = float(dist_new ** 2)
+            ascent = v_new - v
 
-        # one trial Heun step at the full grid spacing
-        d1 = vector_field(law, problem, FlowState(x=x, theta=theta))
-        xp = x + h * d1.dx
-        if fractional:
-            drive_pred = vector_field(law, problem, FlowState(x=xp, theta=theta)).dtheta
-            theta_new = channel.correct(h, drive_pred)
-            d2 = vector_field(law, problem, FlowState(x=xp, theta=theta_new))
-            x_new = x + 0.5 * h * (d1.dx + d2.dx)
-        elif use_gain:
-            tp = theta + h * d1.dtheta
-            d2 = vector_field(law, problem, FlowState(x=xp, theta=tp))
-            x_new = x + 0.5 * h * (d1.dx + d2.dx)
-            theta_new = theta + 0.5 * h * (d1.dtheta + d2.dtheta)
-        else:
-            d2 = vector_field(law, problem, FlowState(x=xp, theta=None))
-            x_new = x + 0.5 * h * (d1.dx + d2.dx)
-            theta_new = None
-
-        # stiffness estimate: local rate times step, from the two stage slopes
-        move = float(np.linalg.norm(xp - x))
-        if move == 0.0:
-            # no first-order motion (e.g. starting from rest): the Heun
-            # correction itself is the motion, not an oscillation
-            rate_times_step = 0.0
-        else:
-            rate_times_step = h * float(np.linalg.norm(d2.dx - d1.dx)) / move
-
-        ascent = -math.inf
-        if v_quarter is not None:
-            ascent = float(np.linalg.norm(x_new - xstar) ** 2) - float(
-                np.linalg.norm(x - xstar) ** 2
-            )
-
-        needs_guard = rate_times_step > _STIFFNESS_TRIGGER
-        if v_quarter is not None and ascent > v_quarter:
-            needs_guard = True
-
-        if needs_guard:
-            def run_substeps(count):
-                if fractional:
-                    # the gain is already corrected on the coarse grid; the
-                    # memory stays there, only the vector clock refines
-                    return _substep_fixed_gain(law, problem, x, theta_new, h, count)
-                if use_gain:
-                    return _substep_coupled(law, problem, x, theta, h, count)
-                return _substep_fixed_gain(law, problem, x, None, h, count)
-
-            def step_ascent(z):
-                if v_quarter is None:
-                    return -math.inf
-                return float(np.linalg.norm(z - xstar) ** 2) - float(
-                    np.linalg.norm(x - xstar) ** 2
-                )
-
+        if rate_times_step > _STIFFNESS_TRIGGER or ascent > v_quarter:
+            theta_g, d1_g = theta, d1
+            if guard is not trial:
+                # the guard holds the gain at the trial's corrected value
+                theta_g = theta_new
+                d1_g = vector_field(law, problem, FlowState(x=x, theta=theta_g))
             m = 2
             while m * _UPTICK_TARGET < rate_times_step and m < _MAX_SUBSTEPS:
                 m *= 2
-            x_best, theta_best, sub_rate = run_substeps(m)
+            x_new, theta_new, sub_rate = _heun(law, problem, guard, x, theta_g, d1_g, h, m)
             # stability escalation: a substepped map still outside the
             # monotone range can park on a spurious cycle that never enters
             # the detection ball, so refine until the local rate is resolved
             while sub_rate > _SUBSTEP_RATE_CAP and m < _MAX_SUBSTEPS:
                 m = min(m * 4, _MAX_SUBSTEPS)
-                x_best, theta_best, sub_rate = run_substeps(m)
-
-            best_ascent = step_ascent(x_best)
-            while best_ascent > v_quarter and m < _MAX_SUBSTEPS:
-                m_next = min(m * 4, _MAX_SUBSTEPS)
-                x_try, theta_try, _ = run_substeps(m_next)
-                try_ascent = step_ascent(x_try)
-                improved = try_ascent <= 0.5 * best_ascent
-                if try_ascent < best_ascent:
-                    x_best, theta_best, best_ascent, m = x_try, theta_try, try_ascent, m_next
-                if not improved:
-                    break
-            if best_ascent > v_quarter:
-                diagnostics["residual_ascent_steps"] += 1
-            x_new, theta_new = x_best, theta_best
+                x_new, theta_new, sub_rate = _heun(law, problem, guard, x, theta_g, d1_g, h, m)
+            if xstar is not None:
+                dist_new = np.linalg.norm(x_new - xstar)
+                v_new = float(dist_new ** 2)
+                ascent = v_new - v
+                while ascent > v_quarter and m < _MAX_SUBSTEPS:
+                    m_next = min(m * 4, _MAX_SUBSTEPS)
+                    x_try, theta_try, _ = _heun(law, problem, guard, x, theta_g, d1_g, h, m_next)
+                    dist_try = np.linalg.norm(x_try - xstar)
+                    v_try = float(dist_try ** 2)
+                    try_ascent = v_try - v
+                    improved = try_ascent <= 0.5 * ascent
+                    if try_ascent < ascent:
+                        x_new, theta_new, m = x_try, theta_try, m_next
+                        dist_new, v_new, ascent = dist_try, v_try, try_ascent
+                    if not improved:
+                        break
+                if ascent > v_quarter:
+                    diagnostics["residual_ascent_steps"] += 1
             diagnostics["substepped_steps"] += 1
             diagnostics["max_substeps"] = max(diagnostics["max_substeps"], m)
 
-        if not np.all(np.isfinite(x_new)) or float(np.linalg.norm(x_new)) > _NORM_CEILING:
+        # a NaN norm fails the comparison too
+        if not float(np.linalg.norm(x_new)) <= _NORM_CEILING:
             raise DivergenceError(
                 "state norm left the finite range at t=%g (last valid t=%g)"
                 % (t, times[-1]),
                 last_valid_time=times[-1],
             )
 
-        x = x_new
-        theta = theta_new
-        if fractional:
-            drive = vector_field(law, problem, FlowState(x=x, theta=theta)).dtheta
-            channel.push(drive)
-
-        done = _converged(x, grad_norm, xstar, opts)
+        x, theta = x_new, theta_new
+        if xstar is not None:
+            v = v_new
+            done = float(dist_new) <= opts.eps_x
+        else:
+            done = float(np.linalg.norm(problem.gradient(x))) <= opts.eps_g
         if k % opts.record_stride == 0 or k == n_steps or done:
             times.append(t)
-            states.append(x.copy())
+            states.append(x)
             if gains is not None:
                 gains.append(theta)
             if lyap is not None:
-                lyap.append(float(np.linalg.norm(x - xstar) ** 2))
+                lyap.append(v)
         if done:
             return build(t)
+        d1 = vector_field(law, problem, FlowState(x=x, theta=theta))
 
     return build(None)
 

@@ -16,6 +16,8 @@ from enum import Enum
 
 import mpmath
 
+from ._checks import real_in
+
 __all__ = [
     "MLSpec",
     "ZeroKind",
@@ -52,9 +54,7 @@ def gamma(x: float) -> float:
     Raises ValueError for non-positive or non-finite arguments.  Relative
     accuracy is at machine level throughout [0.1, 50].
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-        raise ValueError("gamma is restricted to positive finite arguments, got %r" % (x,))
-    return math.gamma(x)
+    return math.gamma(real_in("gamma argument", x))
 
 
 def _rgamma(x: float) -> float:
@@ -90,10 +90,8 @@ class MLSpec:
     beta: float
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError("alpha must be a positive finite real, got %r" % (self.alpha,))
-        if not (isinstance(self.beta, (int, float)) and math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError("beta must be a positive finite real, got %r" % (self.beta,))
+        real_in("alpha", self.alpha)
+        real_in("beta", self.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +241,17 @@ def ml_eval(spec: MLSpec, z: float, *, tol: float = 1e-9) -> float:
 
     Absolute error is kept within `tol` (default 1e-9) for z in [-100, 100]
     and orders in [0.5, 2]; outside the box the same routing applies on a
-    best-effort basis.  Values that grow past double range raise OverflowError;
-    for large positive arguments accuracy is relative rather than absolute,
-    since the function grows exponentially.
+    best-effort basis.  A non-finite `z`, or a `tol` that is not a positive
+    finite real, raises ValueError.  Values that grow past double range raise
+    OverflowError; for large positive arguments accuracy is relative rather
+    than absolute, since the function grows exponentially.
     """
     if not isinstance(spec, MLSpec):
         spec = MLSpec(*spec)
     if not (isinstance(z, (int, float)) and math.isfinite(z)):
         raise ValueError("ml_eval needs a finite real argument, got %r" % (z,))
     z = float(z)
+    real_in("tol", tol)
     a, b = spec.alpha, spec.beta
     if z > 1.0 and math.log(z) / a > _LN_OVERFLOW:
         raise OverflowError(
@@ -281,12 +281,8 @@ def ml_kernel_eval(spec: MLSpec, rho: float, t: float, *, tol: float = 1e-9) -> 
     """Evaluate the convolution kernel t^{beta-1} E_{alpha,beta}(-rho t^alpha)."""
     if not isinstance(spec, MLSpec):
         spec = MLSpec(*spec)
-    if not (isinstance(rho, (int, float)) and math.isfinite(rho) and rho > 0):
-        raise ValueError("rho must be a positive finite real, got %r" % (rho,))
-    if not (isinstance(t, (int, float)) and math.isfinite(t)):
-        raise ValueError("t must be finite, got %r" % (t,))
-    if t < 0:
-        raise ValueError("kernel argument t must be nonnegative, got %g" % t)
+    real_in("rho", rho)
+    real_in("t", t, low_closed=True)
     if t == 0.0:
         if spec.beta > 1.0:
             return 0.0
@@ -318,21 +314,22 @@ class ZeroQuery:
     def __post_init__(self):
         if isinstance(self.kind, str):
             object.__setattr__(self, "kind", ZeroKind(self.kind))
-        if not (isinstance(self.alpha, (int, float)) and 1.0 < self.alpha < 2.0):
-            raise ValueError(
-                "zero existence requires 1 < alpha < 2, got alpha=%r" % (self.alpha,)
-            )
-        if not (isinstance(self.rho, (int, float)) and math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError("rho must be a positive finite real, got %r" % (self.rho,))
+        # zeros are guaranteed to exist only on this range
+        real_in("alpha", self.alpha, 1.0, 2.0)
+        real_in("rho", self.rho)
 
 
 def ml_first_positive_zero(query: ZeroQuery, *, tol: float = 1e-6, horizon: float = 100.0) -> float:
     """Locate the smallest t > 0 where the queried form crosses zero.
 
     Forward sampling brackets the first sign change, bisection refines it to
-    absolute tolerance `tol`.  Raises ZeroSearchError when no sign change shows
-    up before `horizon` (parameters outside the guaranteed regime).
+    absolute tolerance `tol`, or until the midpoint no longer moves in double
+    precision.  Raises ZeroSearchError when no sign change shows up before
+    `horizon` (parameters outside the guaranteed regime), and ValueError when
+    `tol` or `horizon` is not a positive finite real.
     """
+    real_in("tol", tol)
+    real_in("horizon", horizon)
     a, r = query.alpha, query.rho
     if query.kind is ZeroKind.STANDARD_FORM:
         spec = MLSpec(a, 1.0)
@@ -367,6 +364,8 @@ def ml_first_positive_zero(query: ZeroQuery, *, tol: float = 1e-6, horizon: floa
         t_lo, f_lo = t_hi, f_hi
     while t_hi - t_lo > tol:
         mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < mid < t_hi:
+            break
         fm = f(mid)
         if fm == 0.0:
             return mid

@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -91,6 +93,32 @@ class TestMlCommands:
         rc, _, err = invoke(capsys, ["ml", "zero", "--alpha", "2.5"])
         assert rc == 2
         assert err
+
+
+def cli_subprocess(argv):
+    """Run the CLI in a fresh interpreter, so a search that never ends fails the
+    test at the timeout instead of hanging the suite."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "gradflows.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_zero_rejects_nonpositive_tolerance(tol):
+    proc = cli_subprocess(["ml", "zero", "--alpha", "1.5", "--tol", tol])
+    assert proc.returncode == 2
+    assert "tol" in proc.stderr
+
+
+def test_zero_with_tolerance_below_double_resolution():
+    # bisection stops once the midpoint no longer moves
+    proc = cli_subprocess(["ml", "zero", "--alpha", "1.5", "--tol", "1e-300"])
+    assert proc.returncode == 0, proc.stderr
+    default = cli_subprocess(["ml", "zero", "--alpha", "1.5"])
+    assert abs(float(proc.stdout) - float(default.stdout)) <= 1e-6
 
 
 class TestBoundsCommand:

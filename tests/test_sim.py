@@ -237,6 +237,17 @@ class TestFailureModes:
         with pytest.raises(SingularityError):
             integrate(law, prob, [0.45], SimOptions(step=1e-2, horizon=1.0, eps_g=1e-12))
 
+    def test_exact_zero_gradient_at_accepted_state_converges(self):
+        # the first step lands where the gradient is exactly zero; detection
+        # runs before the unregularized field is evaluated there
+        def grad(x):
+            return np.array([0.0]) if x[0] >= 0.5 else np.array([-1.0])
+
+        prob = custom_problem(1, value=lambda x: float(-x[0]), gradient=grad)
+        law = FlowLaw(variant="fixed_time_fractional", rho=10.0, alpha=1.0, beta=0.5, delta=0.0)
+        tr = integrate(law, prob, [0.499], SimOptions(step=1e-2, horizon=1.0))
+        assert tr.convergence_time == 0.01
+
     def test_bad_initial_state(self):
         with pytest.raises(ValueError):
             integrate(FT1, EYE, [1.0, 2.0, 3.0])
@@ -370,3 +381,87 @@ class TestApplicableBound:
     def test_missing_constants(self):
         with pytest.raises(InsufficientConstantsError):
             applicable_bound(SO, zakharov_problem(2), [1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# pins of the single Heun stepper: gradient calls per step, and outputs of
+# runs with and without the guard captured before the stepper was unified
+
+LAWS = {"finite_time": FT1, "second_order": SO, "fractional": FR}
+EX_MATRIX = np.array([[1.0, 1.0], [1.0, 4.0]])
+
+
+def counting_problem(minimizer):
+    """The benchmark quadratic with a gradient that counts its calls."""
+    calls = [0]
+
+    def gradient(x):
+        calls[0] += 1
+        return EX_MATRIX @ np.asarray(x, dtype=float)
+
+    prob = custom_problem(
+        2, value=lambda x: 0.5 * float(x @ EX_MATRIX @ x), gradient=gradient, minimizer=minimizer
+    )
+    calls[0] = 0  # construction checks the gradient at the minimizer
+    return prob, calls
+
+
+@pytest.mark.parametrize("name,per_step", [("finite_time", 2), ("second_order", 2), ("fractional", 3)])
+def test_gradient_calls_per_unguarded_step(name, per_step):
+    prob, calls = counting_problem([0.0, 0.0])
+    tr = integrate(LAWS[name], prob, [10.0, -10.0], SimOptions(step=1e-3, horizon=3.0, eps_x=3e-2))
+    assert tr.diagnostics["substepped_steps"] == 0
+    steps = len(tr.times) - 1
+    assert steps > 300
+    assert calls[0] == per_step * steps
+
+
+UNGUARDED = SimOptions(step=1e-3, horizon=3.0, eps_x=3e-2)
+GUARDED = SimOptions(step=1e-3, horizon=3.0, eps_x=1e-6)
+NO_MINIMIZER = SimOptions(step=1e-3, horizon=3.0, eps_g=1e-2)
+# (case, law): (convergence time, (substepped, max substeps, residual ascent),
+#               final state, final gain)
+PINNED = {
+    ("unguarded", "finite_time"): (1.609, (0, 1, 0), [0.02506346685243726, -0.007588607160024626], None),
+    ("unguarded", "second_order"): (0.456, (0, 1, 0), [0.013293749672811266, -0.004025052834557988], 41.47636377435042),
+    ("unguarded", "fractional"): (0.325, (0, 1, 0), [0.025458958788135876, -0.007708352799461184], 34.60033305118224),
+    ("guarded", "finite_time"): (0.509, (4, 8, 0), [4.751300662562893e-07, 6.335067550083853e-07], None),
+    ("guarded", "second_order"): (0.383, (3, 16, 0), [3.9103591074841076e-07, 5.213812143312136e-07], 18.44705426323032),
+    ("guarded", "fractional"): (0.228, (3, 16, 0), [3.4951389108941104e-07, 4.660185214525485e-07], 17.921424657427966),
+    ("no_minimizer", "finite_time"): (1.612, (0, 1, 0), [0.009689319790567284, -0.002933689978781312], None),
+    ("no_minimizer", "second_order"): (0.456, (0, 1, 0), [0.013293749672811266, -0.004025052834557988], 41.47636377435042),
+    ("no_minimizer", "fractional"): (0.326, (0, 1, 0), [0.011017489497223447, -0.0033358345880615823], 34.49254373384893),
+}
+
+
+@pytest.mark.parametrize("case,name", sorted(PINNED))
+def test_pinned_outputs(case, name):
+    if case == "guarded":
+        prob, x0, opts = EYE, [3.0, 4.0], GUARDED
+    else:
+        prob, _ = counting_problem([0.0, 0.0] if case == "unguarded" else None)
+        x0, opts = [10.0, -10.0], UNGUARDED if case == "unguarded" else NO_MINIMIZER
+    ct, (substepped, max_sub, residual), final_state, final_gain = PINNED[case, name]
+    tr = integrate(LAWS[name], prob, x0, opts)
+    assert tr.convergence_time == ct
+    assert tr.diagnostics == {
+        "substepped_steps": substepped,
+        "max_substeps": max_sub,
+        "residual_ascent_steps": residual,
+    }
+    np.testing.assert_allclose(tr.final_state, final_state, rtol=1e-12, atol=0.0)
+    if final_gain is None:
+        assert tr.gains is None
+    else:
+        assert tr.gains[-1] == pytest.approx(final_gain, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["second_order", "fractional"])
+def test_guard_without_minimizer(name):
+    # no Lyapunov value exists, so only the stiffness trigger can fire
+    prob, _ = counting_problem(None)
+    tr = integrate(LAWS[name], prob, [10.0, -10.0], SimOptions(step=1e-3, horizon=3.0))
+    assert tr.convergence_time is not None
+    assert tr.lyapunov is None
+    assert tr.diagnostics["substepped_steps"] > 0
+    assert tr.diagnostics["residual_ascent_steps"] == 0

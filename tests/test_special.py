@@ -225,6 +225,11 @@ class TestEvalErrors:
         with pytest.raises(ValueError):
             ml_eval(MLSpec(1.0, 1.0), z)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_rejects_nonpositive_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            ml_eval(MLSpec(1.5, 1.0), -2.0, tol=tol)
+
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
             ml_eval(MLSpec(1.0, 1.0), 710.0)
@@ -254,6 +259,11 @@ class TestFirstZero:
         for a, want in COARSE_ZERO_REFS.items():
             got = ml_first_positive_zero(ZeroQuery(alpha=a, rho=1.0))
             assert abs(got - want) <= 0.02
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            ml_first_positive_zero(ZeroQuery(alpha=1.5, rho=1.0), horizon=horizon)
 
     def test_limit_toward_two(self):
         # E_{2,1}(-t^2) = cos(t): first zero pi/2
