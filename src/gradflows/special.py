@@ -4,8 +4,10 @@ Real-line evaluation of E_{a,b}(z) = sum_k z^k / Gamma(a*k + b) plus location of
 first positive zeros for the two kernel shapes that drive the fixed-time
 convergence bounds.  The evaluator routes between the defining power series
 (small or moderate arguments), an inverse-power continuation with a conjugate
-exponential pair (deep negative arguments), and an arbitrary-precision series
-fallback when double precision cannot absorb the alternating-sum cancellation.
+exponential pair (deep negative arguments), the leading exponential plus the
+same inverse-power tail (large positive arguments), and an arbitrary-precision
+series fallback when double precision cannot absorb the alternating-sum
+cancellation.
 """
 
 from __future__ import annotations
@@ -97,9 +99,10 @@ class MLSpec:
 # ---------------------------------------------------------------------------
 # power series
 
+# Reciprocal-gamma coefficients per order pair, dropped oldest first beyond
+# _COEF_CACHE_SIZE pairs so that a sweep over orders cannot grow it for ever.
+_COEF_CACHE_SIZE = 256
 _coef_cache: dict[tuple[float, float], list[float]] = {}
-
-
 
 
 def _series_peak_nats(alpha: float, beta: float, x: float) -> float:
@@ -115,22 +118,32 @@ def _series_peak_nats(alpha: float, beta: float, x: float) -> float:
     return max(0.0, p(1.0), p(2.0), p(kstar))
 
 
-def _series_double(alpha: float, beta: float, z: float, kmax: int) -> float:
-    cs = _coef_cache.setdefault((alpha, beta), [])
+def _series_double(alpha: float, beta: float, z: float, kmax: int) -> float | None:
+    """Double-precision partial sum, or None once a term leaves double range.
+
+    A power z**k past 1e300, or a reciprocal gamma that underflows to zero,
+    comes before the sum has converged; the caller must then use more range.
+    """
+    key = (alpha, beta)
+    cs = _coef_cache.get(key)
+    if cs is None:
+        if len(_coef_cache) >= _COEF_CACHE_SIZE:
+            del _coef_cache[next(iter(_coef_cache))]
+        cs = _coef_cache[key] = []
     terms = []
     p = 1.0
     running = 0.0
     for k in range(kmax + 1):
         if k >= len(cs):
             cs.append(_rgamma(alpha * k + beta))
+        if cs[k] == 0.0 or abs(p) > 1e300:
+            return None
         t = p * cs[k]
         terms.append(t)
         running += t
         if k >= 4 and abs(t) <= 1e-17 * (1.0 + abs(running)):
             break
         p *= z
-        if abs(p) > 1e300:
-            break
     return math.fsum(terms)
 
 
@@ -165,7 +178,9 @@ def _series_route(alpha: float, beta: float, z: float, tol: float) -> float:
     transfer = 0.5 * _EPS * argmax * max(1.0, math.log(argmax)) * 3.0
     if hump * (2.0 * _EPS + transfer) <= 0.25 * tol:
         kstar = max(1.0, x ** (1.0 / alpha) / alpha)
-        return _series_double(alpha, beta, z, int(max(250, 8.0 * kstar + 50.0)))
+        out = _series_double(alpha, beta, z, int(max(250, 8.0 * kstar + 50.0)))
+        if out is not None:
+            return out
     dps = int(peak / _LN10) + 26 + max(0, int(round(-math.log10(tol))))
     if dps > 3000:
         raise PrecisionLossError(
@@ -176,22 +191,25 @@ def _series_route(alpha: float, beta: float, z: float, tol: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# deep negative arguments
+# large arguments
 
 def _asym_tail(alpha: float, beta: float, z: float) -> tuple[float, float]:
-    """Inverse-power tail -sum_{k>=1} z^{-k}/Gamma(beta - alpha*k) for z << 0.
+    """Inverse-power tail -sum_{k>=1} z^{-k}/Gamma(beta - alpha*k) for |z| >> 1.
 
     Truncated at the smallest term.  Returns (sum, floor) where floor is the
     magnitude of the first omitted term, i.e. the best accuracy this divergent
-    expansion can deliver at the given argument.
+    expansion can deliver at the given argument.  The floor is 0.0 when every
+    term vanishes (beta - alpha*k a pole of gamma for all k), as for the
+    exponential and the trigonometric closed forms.
     """
-    x = -z
+    x = abs(z)
     lx = math.log(x)
     total = 0.0
     last = math.inf
     k = 1
     while k <= 300:
-        lm, sg = _rgamma_signed_log(beta - alpha * k)
+        g = beta - alpha * k
+        lm, sg = _rgamma_signed_log(g)
         if sg == 0.0:
             k += 1
             continue
@@ -202,12 +220,15 @@ def _asym_tail(alpha: float, beta: float, z: float) -> tuple[float, float]:
         if mag >= last:
             return total, mag
         term = math.copysign(mag, sg)  # magnitude of z^{-k}/Gamma with gamma's sign
-        total += term if k % 2 == 1 else -term
+        total += term if z < 0.0 and k % 2 == 1 else -term
         last = mag
-        if mag <= 1e-18 * (1.0 + abs(total)):
+        # Near a pole of gamma a term is small through sin(pi*g), not through
+        # convergence: judge convergence on the term without that factor.
+        shape = abs(math.sin(math.pi * g)) if g < 0.0 else 1.0
+        if mag <= 1e-18 * (1.0 + abs(total)) * shape:
             return total, mag
         k += 1
-    return total, last
+    return total, last if last < math.inf else 0.0
 
 
 def _saddle_pair(alpha: float, beta: float, x: float) -> float:
@@ -233,18 +254,47 @@ def _eval_asymptotic(alpha: float, beta: float, z: float) -> tuple[float, float]
     return tail, floor
 
 
+def _exponential_route(alpha: float, beta: float, z: float, tol: float) -> float | None:
+    """Leading exponential plus inverse-power tail for z above SERIES_RADIUS.
+
+    E(z) = z^{(1-beta)/alpha} exp(z^{1/alpha}) / alpha + tail (Podlubny 1999,
+    Thm 1.3; Gorenflo et al. 2014, sec. 4.7).  Serves only where the leading
+    term times machine epsilon reaches `tol`, so that double precision cannot
+    hold absolute `tol` on any route, and accepts the value when the tail's
+    floor is within a quarter of max(tol, |E| eps).  For alpha > 4/3 the
+    subdominant exponentials exp(z^{1/alpha} e^{+-2 pi i/alpha}) must also lie
+    below tol/4 relative to the leading one.  Returns None where it does not
+    apply.  At alpha = beta = 1 the value is math.exp(z) exactly.
+    """
+    r = z ** (1.0 / alpha)
+    lead = z ** ((1.0 - beta) / alpha) * math.exp(r) / alpha
+    if lead * _EPS < tol:
+        return None
+    if alpha > 4.0 / 3.0 and r * (1.0 - math.cos(2.0 * math.pi / alpha)) < math.log(4.0 / tol):
+        return None
+    tail, floor = _asym_tail(alpha, beta, z)
+    out = lead + tail
+    if floor > 0.25 * max(tol, abs(out) * _EPS):
+        return None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # public evaluation
 
 def ml_eval(spec: MLSpec, z: float, *, tol: float = 1e-9) -> float:
     """Evaluate E_{alpha,beta}(z) on the real line.
 
-    Absolute error is kept within `tol` (default 1e-9) for z in [-100, 100]
-    and orders in [0.5, 2]; outside the box the same routing applies on a
-    best-effort basis.  A non-finite `z`, or a `tol` that is not a positive
-    finite real, raises ValueError.  Values that grow past double range raise
-    OverflowError; for large positive arguments accuracy is relative rather
-    than absolute, since the function grows exponentially.
+    The error is absolute, within `tol` (default 1e-9), for z in [-100, 100]
+    and orders in [0.5, 2] wherever |E| * eps stays below `tol`; outside the
+    box the same routing applies on a best-effort basis.  For large positive
+    arguments, where |E| * eps exceeds `tol`, no double-precision value can
+    hold absolute `tol` and the error is relative instead: a few eps times
+    |E|.  There the exponential route (leading term
+    z^{(1-beta)/alpha} exp(z^{1/alpha}) / alpha plus the inverse-power tail)
+    serves when its own error floor allows, and the series otherwise.  A
+    non-finite `z`, or a `tol` that is not a positive finite real, raises
+    ValueError.  Values that grow past double range raise OverflowError.
     """
     if not isinstance(spec, MLSpec):
         spec = MLSpec(*spec)
@@ -257,7 +307,11 @@ def ml_eval(spec: MLSpec, z: float, *, tol: float = 1e-9) -> float:
         raise OverflowError(
             "E_{%g,%g}(%g) exceeds double-precision range" % (a, b, z)
         )
-    if z >= -SERIES_RADIUS:
+    if z > SERIES_RADIUS:
+        out = _exponential_route(a, b, z, tol)
+        if out is None:
+            out = _series_route(a, b, z, tol)
+    elif z >= -SERIES_RADIUS:
         out = _series_route(a, b, z, tol)
     elif 0.95 < a < 1.05:
         # Around alpha = 1 the two exponential branches coalesce on the
@@ -322,11 +376,17 @@ class ZeroQuery:
 def ml_first_positive_zero(query: ZeroQuery, *, tol: float = 1e-6, horizon: float = 100.0) -> float:
     """Locate the smallest t > 0 where the queried form crosses zero.
 
-    Forward sampling brackets the first sign change, bisection refines it to
-    absolute tolerance `tol`, or until the midpoint no longer moves in double
-    precision.  Raises ZeroSearchError when no sign change shows up before
-    `horizon` (parameters outside the guaranteed regime), and ValueError when
-    `tol` or `horizon` is not a positive finite real.
+    Forward sampling at a step of 0.1 in scaled time s = rho^{1/alpha} t
+    brackets the first sign change, bisection refines it to absolute
+    tolerance `tol`, or until the midpoint no longer moves in double
+    precision.  The step cannot skip a zero: both forms are functions of
+    z = -s^alpha alone (up to the positive factor t^{alpha-1}), so their sign
+    pattern in s does not depend on rho; for 1 < alpha < 2 the first zeros lie
+    past s = 1.5 and neighbouring zeros are about pi or more apart in s
+    (E_{2,1}(-s^2) = cos s), far wider than the step.  Raises ZeroSearchError
+    when no sign change shows up before `horizon` (parameters outside the
+    guaranteed regime), and ValueError when `tol` or `horizon` is not a
+    positive finite real.
     """
     real_in("tol", tol)
     real_in("horizon", horizon)
@@ -343,7 +403,7 @@ def ml_first_positive_zero(query: ZeroQuery, *, tol: float = 1e-6, horizon: floa
         def f(t):
             return t ** (a - 1.0) * ml_eval(spec, -r * t ** a)
 
-    step = min(0.01, 0.001 * r ** (-1.0 / a))
+    step = 0.1 * r ** (-1.0 / a)
     t_lo = step
     f_lo = f(t_lo)
     if f_lo == 0.0:

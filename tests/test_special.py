@@ -5,6 +5,7 @@ import math
 import mpmath
 import pytest
 
+from gradflows import special
 from gradflows.special import (
     MLSpec,
     PrecisionLossError,
@@ -97,6 +98,50 @@ ZERO_TABLE = [
 # Reference first zeros of E_{a,1}(-t^a), good to about two decimals.
 COARSE_ZERO_REFS = {1.7: 1.57, 1.5: 1.65, 1.3: 1.89, 1.1: 2.88, 1.05: 3.72}
 
+# Zero-search grid: orders across the guaranteed regime, gains on both sides
+# of one, both kernel shapes.
+ZERO_GRID = [
+    ZeroQuery(alpha=round(1.05 + 0.05 * i, 2), rho=r, kind=kind)
+    for i in range(18)
+    for r in (0.45, 1.0, 10.0, 45.0)
+    for kind in ZeroKind
+]
+
+
+def forward_scan_zero(query, tol=1e-6):
+    """First zero by a fine forward scan and bisection.
+
+    The scan steps 1e-3 in scaled time rho^{1/alpha} t, at most 0.01 in t.
+
+    This was the zero finder's algorithm before the coarse bracket; it stays
+    as that bracket's reference: thousands of evaluations per zero, but no
+    step size to justify.
+    """
+    a, r = query.alpha, query.rho
+    spec = MLSpec(a, 1.0 if query.kind is ZeroKind.STANDARD_FORM else a)
+    power = 0.0 if query.kind is ZeroKind.STANDARD_FORM else a - 1.0
+
+    def f(t):
+        return t ** power * ml_eval(spec, -r * t ** a)
+
+    step = min(0.01, 0.001 * r ** (-1.0 / a))
+    t_lo = step
+    f_lo = f(t_lo)
+    while True:
+        t_hi = t_lo + step
+        f_hi = f(t_hi)
+        if (f_lo > 0) != (f_hi > 0):
+            break
+        t_lo, f_lo = t_hi, f_hi
+    while t_hi - t_lo > tol:
+        mid = 0.5 * (t_lo + t_hi)
+        fm = f(mid)
+        if (fm > 0) == (f_lo > 0):
+            t_lo, f_lo = mid, fm
+        else:
+            t_hi = mid
+    return 0.5 * (t_lo + t_hi)
+
 
 class TestGamma:
     def test_values(self):
@@ -176,6 +221,49 @@ class TestAgainstBrute:
         got = ml_eval(MLSpec(0.5, 1.0), -x)
         assert abs(got - want) <= 1e-9
 
+    @pytest.mark.parametrize("z", [-80.25, 80.25])
+    def test_tail_term_near_gamma_pole(self, z):
+        # beta - 2*alpha is -3 up to one rounding: the k = 2 tail term is tiny
+        # only through sin(pi*(beta - 2*alpha)) and must not end the sum
+        a = 0.5 + 0.05 * 23
+        want = brute_series(a, 0.3, z)
+        got = ml_eval(MLSpec(a, 0.3), z)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+class TestPositiveAxis:
+    def test_exponential_route_against_brute(self, monkeypatch):
+        """Large positive arguments: every value the exponential route serves
+        agrees with the brute series to 1e-12 relative (absolute below one)."""
+        served = []
+        route = special._exponential_route
+
+        def recording(a, b, z, tol):
+            out = route(a, b, z, tol)
+            if out is not None:
+                served.append((a, b, z, out))
+            return out
+
+        monkeypatch.setattr(special, "_exponential_route", recording)
+        # 0.5 + 0.05 * 23 puts the k = 2 tail term next to a pole at beta = 0.3
+        for a in (0.5, 0.75, 1.0, 1.05, 1.25, 1.5, 0.5 + 0.05 * 23, 1.75, 2.0):
+            for b in (0.3, 0.5, 1.0, 1.5, 2.0, 3.7):
+                for z in (12.5, 20.0, 35.0, 60.0, 80.25, 95.0, 150.0, 300.0):
+                    if z ** (1.0 / a) <= 300.0:  # bounds the brute series' work
+                        ml_eval(MLSpec(a, b), z)
+        assert len(served) >= 20
+        for a, b, z, got in served:
+            want = brute_series(a, b, z)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (a, b, z, got, want)
+
+    @pytest.mark.parametrize("t", [10.0, 12.0, 20.0])
+    def test_subdominant_exponential_at_tight_tolerance(self, t):
+        # E_{2,1}(t^2) = cosh t and E_{2,2}(t^2) = sinh(t)/t carry exp(-t)
+        # beside the leading exp(t); at tol = 1e-14 it must not be dropped
+        for b, want in ((1.0, math.cosh(t)), (2.0, math.sinh(t) / t)):
+            got = ml_eval(MLSpec(2.0, b), t * t, tol=1e-14)
+            assert abs(got - want) <= 4.0 * special._EPS * want
+
 
 def test_series_and_continuation_agree_across_handoff():
     # Both machineries are valid in a band around |z| = 10; they must agree
@@ -241,6 +329,17 @@ class TestEvalErrors:
         assert got == math.exp(700.0)
         got = ml_eval(MLSpec(2.0, 1.0), 1.0e5)  # cosh(316.22...)
         assert math.isfinite(got) and got > 1e130
+
+    @pytest.mark.parametrize("z,tol", [(700.0, 1e300), (99.2, 1e30)])
+    def test_loose_tolerance_keeps_every_series_term(self, z, tol):
+        # a loose tol admits the double series where z**k leaves double range
+        got = ml_eval(MLSpec(1.0, 1.0), z, tol=tol)
+        assert abs(got - math.exp(z)) <= min(tol, 1e-12 * math.exp(z))
+
+    def test_coefficient_cache_is_bounded(self):
+        for i in range(10_000):
+            ml_eval(MLSpec(1.5, 1.0 + 1e-5 * i), -0.5)
+        assert 0 < len(special._coef_cache) <= special._COEF_CACHE_SIZE
 
     def test_precision_loss_is_reported(self):
         with pytest.raises(PrecisionLossError):
@@ -312,6 +411,25 @@ class TestFirstZero:
                 return
             prev = cur
         pytest.fail("scan found no sign change")
+
+    def test_evaluations_per_zero(self, monkeypatch):
+        calls = [0]
+        evaluate = special.ml_eval
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(special, "ml_eval", counting)
+        for query in ZERO_GRID:
+            calls[0] = 0
+            ml_first_positive_zero(query)
+            assert 0 < calls[0] <= 100, (query, calls[0])
+
+    def test_agrees_with_fine_forward_scan(self):
+        for query in ZERO_GRID:
+            got = ml_first_positive_zero(query)
+            assert abs(got - forward_scan_zero(query)) <= 1e-6, query
 
     def test_horizon_exhaustion(self):
         with pytest.raises(ZeroSearchError):
