@@ -136,6 +136,44 @@ class FlowDerivative:
     dtheta: Optional[float] = None
 
 
+def _field(law: FlowLaw, problem: Problem):
+    """The law's right-hand side on arrays, with its constants bound once.
+
+    Returns `grad(x) -> (g, ||g||)`, which rejects an oracle output not shaped
+    like x, and `rhs(g, norm_g, theta) -> (dx, dtheta)`, so a caller holding
+    the gradient at a state finishes the field there without another oracle
+    call.  `dtheta` is as in FlowDerivative, None for the finite-time law.
+    """
+    gradient = problem.gradient
+    rho, alpha, lam, delta = law.rho, law.alpha, law.lam, law.delta
+    uses_gain = law.uses_gain
+    decays = law.variant is FlowVariant.FIXED_TIME_SECOND_ORDER
+
+    def grad(x):
+        g = np.asarray(gradient(x), dtype=float)
+        if g.shape != x.shape:
+            raise ValueError(
+                "gradient returned shape %s for a state of shape %s" % (g.shape, x.shape)
+            )
+        return g, math.sqrt(g.dot(g))
+
+    def rhs(g, norm_g, theta):
+        if norm_g == 0.0 and delta == 0.0:
+            raise SingularityError(
+                "gradient vanished with delta=0; detect convergence before stepping"
+            )
+        scale = (norm_g + delta) ** alpha
+        if not uses_gain:
+            return (-rho / scale) * g, None
+        dx = (-theta / scale) * g
+        drive = rho * norm_g ** alpha
+        if decays:
+            return dx, -lam * theta + drive
+        return dx, drive
+
+    return grad, rhs
+
+
 def vector_field(law: FlowLaw, problem: Problem, state: FlowState) -> FlowDerivative:
     """Evaluate the chosen law's right-hand side at a state.
 
@@ -148,22 +186,11 @@ def vector_field(law: FlowLaw, problem: Problem, state: FlowState) -> FlowDeriva
             "state dimension %s does not match problem dimension %d"
             % (x.shape, problem.dimension)
         )
-    g = np.asarray(problem.gradient(x), dtype=float)
-    norm_g = float(np.linalg.norm(g))
-    if norm_g == 0.0 and law.delta == 0.0:
-        raise SingularityError(
-            "gradient vanished with delta=0; detect convergence before stepping"
-        )
-    scale = (norm_g + law.delta) ** law.alpha
-    if law.variant is FlowVariant.FINITE_TIME:
-        return FlowDerivative(dx=(-law.rho / scale) * g)
-    if state.theta is None:
+    if law.uses_gain and state.theta is None:
         raise ValueError("%s needs the auxiliary gain in the state" % law.variant.value)
-    dx = (-state.theta / scale) * g
-    drive = law.rho * norm_g ** law.alpha
-    if law.variant is FlowVariant.FIXED_TIME_SECOND_ORDER:
-        return FlowDerivative(dx=dx, dtheta=-law.lam * state.theta + drive)
-    return FlowDerivative(dx=dx, dtheta=drive)
+    grad, rhs = _field(law, problem)
+    dx, dtheta = rhs(*grad(x), state.theta)
+    return FlowDerivative(dx=dx, dtheta=dtheta)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ allowance, the step is redone with power-of-two substeps until the ascent is
 resolved.  Substeps refine only the decision vector's clock; the fractional
 memory stays on the coarse grid (its own right-hand side is smooth through
 the terminal zone).
+
+The step works on plain arrays through `flows._field`, the one field
+implementation, whose public wrapper is `vector_field`.  Every law makes 2
+gradient calls per unguarded step, one at the predicted point and one at the
+accepted state; without a minimizer the latter's norm is also the detection
+test.
 """
 
 from __future__ import annotations
@@ -27,12 +33,11 @@ from .caputo import CaputoChannel
 from .flows import (
     BoundReport,
     FlowLaw,
-    FlowState,
     FlowVariant,
+    _field,
     bound_finite_time,
     bound_fixed_time_fractional,
     bound_fixed_time_second_order,
-    vector_field,
 )
 from .problems import Problem
 
@@ -113,11 +118,17 @@ class Trajectory:
         return self.states[-1]
 
 
-def _heun(law, problem, gain, x, theta, d1, h, m):
+def _norm(v):
+    # what np.linalg.norm computes for a real vector, without its dispatch
+    return math.sqrt(v.dot(v))
+
+
+def _heun(field_at, gain, x, theta, d1, h, m):
     """m Heun substeps of (x, theta) across one grid step h.
 
-    `d1` is the field at (x, theta).  `gain(theta, d1, xp, hs)` returns the
-    field at the predicted point xp together with the gain at the end of the
+    `d1` is the field (dx, dtheta) at (x, theta) and `field_at(x, theta)`
+    evaluates it elsewhere.  `gain(theta, d1, xp, hs)` returns the field's dx
+    at the predicted point xp together with the gain at the end of the
     substep, so the rule alone decides how theta moves.  Also reports the
     worst rate-times-substep seen, so the caller can tell whether this
     resolution is inside the scheme's monotone-stable range.
@@ -126,15 +137,16 @@ def _heun(law, problem, gain, x, theta, d1, h, m):
     worst = 0.0
     for i in range(m):
         if i:
-            d1 = vector_field(law, problem, FlowState(x=x, theta=theta))
-        xp = x + hs * d1.dx
-        d2, theta = gain(theta, d1, xp, hs)
+            d1 = field_at(x, theta)
+        dx1 = d1[0]
+        xp = x + hs * dx1
+        dx2, theta = gain(theta, d1, xp, hs)
         # no first-order motion (e.g. starting from rest) means the Heun
         # correction itself is the motion, not an oscillation
-        move = float(np.linalg.norm(xp - x))
+        move = _norm(xp - x)
         if move > 0.0:
-            worst = max(worst, hs * float(np.linalg.norm(d2.dx - d1.dx)) / move)
-        x = x + 0.5 * hs * (d1.dx + d2.dx)
+            worst = max(worst, hs * _norm(dx2 - dx1) / move)
+        x = x + 0.5 * hs * (dx1 + dx2)
     return x, theta, worst
 
 
@@ -157,22 +169,28 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
 
-    # gain rules: each returns the field at the predicted point and the gain
-    # at the end of the step
+    grad, rhs = _field(law, problem)
+
+    def field_at(x, theta):
+        return rhs(*grad(x), theta)
+
+    # gain rules: each returns the field's dx at the predicted point and the
+    # gain at the end of the step
     def frozen(theta, d1, xp, hs):
-        return vector_field(law, problem, FlowState(x=xp, theta=theta)), theta
+        return field_at(xp, theta)[0], theta
 
     def coupled(theta, d1, xp, hs):
-        d2 = vector_field(law, problem, FlowState(x=xp, theta=theta + hs * d1.dtheta))
-        return d2, theta + 0.5 * hs * (d1.dtheta + d2.dtheta)
+        dx2, dtheta2 = field_at(xp, theta + hs * d1[1])
+        return dx2, theta + 0.5 * hs * (d1[1] + dtheta2)
 
     def caputo(theta, d1, xp, hs):
         # d1 is the field at the accepted state, so its drive is the sample
-        # the memory takes for that grid point
-        channel.push(d1.dtheta)
-        drive = vector_field(law, problem, FlowState(x=xp, theta=theta)).dtheta
-        tp = channel.correct(hs, drive)
-        return vector_field(law, problem, FlowState(x=xp, theta=tp)), tp
+        # the memory takes for that grid point; one gradient at xp serves
+        # both the drive the corrector needs and the corrected field
+        channel.push(d1[1])
+        g, norm_g = grad(xp)
+        tp = channel.correct(hs, rhs(g, norm_g, theta)[1])
+        return rhs(g, norm_g, tp)[0], tp
 
     # the fractional guard substeps only the vector clock: the gain keeps its
     # coarse-grid corrected value and the memory stays on the coarse grid
@@ -197,8 +215,8 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
     # without a minimizer there is no Lyapunov value, hence no ascent guard
     ascent, v_quarter = -math.inf, math.inf
     if xstar is not None:
-        dist = np.linalg.norm(x - xstar)
-        v = float(dist ** 2)
+        dist = _norm(x - xstar)
+        v = dist ** 2
         lyap = [v]
         v_quarter = _UPTICK_TARGET * _UPTICK_FRACTION * v
 
@@ -214,20 +232,25 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
             diagnostics=diagnostics,
         )
 
+    # detection at an accepted state comes before the field there; without a
+    # minimizer it reads the gradient norm that the field then reuses
     if xstar is not None:
-        done = float(dist) <= opts.eps_x
+        done = dist <= opts.eps_x
     else:
-        done = float(np.linalg.norm(problem.gradient(x))) <= opts.eps_g
+        g, norm_g = grad(x)
+        done = norm_g <= opts.eps_g
     if done:
         return build(0.0)
-    d1 = vector_field(law, problem, FlowState(x=x, theta=theta))
+    if xstar is not None:
+        g, norm_g = grad(x)
+    d1 = rhs(g, norm_g, theta)
 
     for k in range(1, n_steps + 1):
         t = k * h
-        x_new, theta_new, rate_times_step = _heun(law, problem, trial, x, theta, d1, h, 1)
+        x_new, theta_new, rate_times_step = _heun(field_at, trial, x, theta, d1, h, 1)
         if xstar is not None:
-            dist_new = np.linalg.norm(x_new - xstar)
-            v_new = float(dist_new ** 2)
+            dist_new = _norm(x_new - xstar)
+            v_new = dist_new ** 2
             ascent = v_new - v
 
         if rate_times_step > _STIFFNESS_TRIGGER or ascent > v_quarter:
@@ -235,26 +258,26 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
             if guard is not trial:
                 # the guard holds the gain at the trial's corrected value
                 theta_g = theta_new
-                d1_g = vector_field(law, problem, FlowState(x=x, theta=theta_g))
+                d1_g = rhs(g, norm_g, theta_g)
             m = 2
             while m * _UPTICK_TARGET < rate_times_step and m < _MAX_SUBSTEPS:
                 m *= 2
-            x_new, theta_new, sub_rate = _heun(law, problem, guard, x, theta_g, d1_g, h, m)
+            x_new, theta_new, sub_rate = _heun(field_at, guard, x, theta_g, d1_g, h, m)
             # stability escalation: a substepped map still outside the
             # monotone range can park on a spurious cycle that never enters
             # the detection ball, so refine until the local rate is resolved
             while sub_rate > _SUBSTEP_RATE_CAP and m < _MAX_SUBSTEPS:
                 m = min(m * 4, _MAX_SUBSTEPS)
-                x_new, theta_new, sub_rate = _heun(law, problem, guard, x, theta_g, d1_g, h, m)
+                x_new, theta_new, sub_rate = _heun(field_at, guard, x, theta_g, d1_g, h, m)
             if xstar is not None:
-                dist_new = np.linalg.norm(x_new - xstar)
-                v_new = float(dist_new ** 2)
+                dist_new = _norm(x_new - xstar)
+                v_new = dist_new ** 2
                 ascent = v_new - v
                 while ascent > v_quarter and m < _MAX_SUBSTEPS:
                     m_next = min(m * 4, _MAX_SUBSTEPS)
-                    x_try, theta_try, _ = _heun(law, problem, guard, x, theta_g, d1_g, h, m_next)
-                    dist_try = np.linalg.norm(x_try - xstar)
-                    v_try = float(dist_try ** 2)
+                    x_try, theta_try, _ = _heun(field_at, guard, x, theta_g, d1_g, h, m_next)
+                    dist_try = _norm(x_try - xstar)
+                    v_try = dist_try ** 2
                     try_ascent = v_try - v
                     improved = try_ascent <= 0.5 * ascent
                     if try_ascent < ascent:
@@ -268,7 +291,7 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
             diagnostics["max_substeps"] = max(diagnostics["max_substeps"], m)
 
         # a NaN norm fails the comparison too
-        if not float(np.linalg.norm(x_new)) <= _NORM_CEILING:
+        if not _norm(x_new) <= _NORM_CEILING:
             raise DivergenceError(
                 "state norm left the finite range at t=%g (last valid t=%g)"
                 % (t, times[-1]),
@@ -278,9 +301,10 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
         x, theta = x_new, theta_new
         if xstar is not None:
             v = v_new
-            done = float(dist_new) <= opts.eps_x
+            done = dist_new <= opts.eps_x
         else:
-            done = float(np.linalg.norm(problem.gradient(x))) <= opts.eps_g
+            g, norm_g = grad(x)
+            done = norm_g <= opts.eps_g
         if k % opts.record_stride == 0 or k == n_steps or done:
             times.append(t)
             states.append(x)
@@ -290,7 +314,9 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
                 lyap.append(v)
         if done:
             return build(t)
-        d1 = vector_field(law, problem, FlowState(x=x, theta=theta))
+        if xstar is not None:
+            g, norm_g = grad(x)
+        d1 = rhs(g, norm_g, theta)
 
     return build(None)
 
@@ -312,7 +338,7 @@ def applicable_bound(law: FlowLaw, problem: Problem, x0) -> BoundReport:
             raise InsufficientConstantsError(
                 "finite-time bound needs the minimizer to measure the initial distance"
             )
-        d = float(np.linalg.norm(np.asarray(x0, dtype=float) - problem.minimizer))
+        d = _norm(np.asarray(x0, dtype=float) - problem.minimizer)
         return bound_finite_time(L, law.rho, law.alpha, d, strong_convexity=mu)
     if mu is None:
         raise InsufficientConstantsError("problem carries no strong-convexity constant")

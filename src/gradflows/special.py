@@ -202,6 +202,8 @@ def _asym_tail(alpha: float, beta: float, z: float) -> tuple[float, float]:
     term vanishes (beta - alpha*k a pole of gamma for all k), as for the
     exponential and the trigonometric closed forms.
     """
+    if alpha == math.floor(alpha) and beta == math.floor(beta) and beta <= alpha:
+        return 0.0, 0.0  # every beta - alpha*k is a pole of gamma
     x = abs(z)
     lx = math.log(x)
     total = 0.0

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, artifact schemas, determinism, echoes."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -435,3 +436,21 @@ class TestSweepCommand:
         assert rc == 0
         _, rows = read_csv(os.path.join(out_dir, "fam_summary.csv"))
         assert [r[0] for r in rows] == ["alpha=0.5", "alpha=1"]
+
+
+# ---------------------------------------------------------------------------
+# byte identity of the shipped configs' CSVs against the benchmark's references
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+with open(os.path.join(ROOT, "bench", "data", "cli.json")) as fh:
+    CLI_REFERENCE = json.load(fh)["cases"]
+
+
+@pytest.mark.parametrize("case", sorted(k for k, ref in CLI_REFERENCE.items() if ref["csv"]))
+def test_shipped_config_csv_bytes(case, tmp_path, capsys):
+    command, name = case.split("/")
+    config = os.path.join(ROOT, "configs", name + ".json")
+    rc, _, _ = invoke(capsys, [command, "--config", config, "--out", str(tmp_path)])
+    assert rc == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
+    assert got == CLI_REFERENCE[case]["csv"]

@@ -13,9 +13,11 @@ import pytest
 
 from gradflows.flows import (
     FlowLaw,
+    FlowState,
     InsufficientConstantsError,
     SingularityError,
     bound_fixed_time_second_order,
+    vector_field,
 )
 from gradflows.problems import custom_problem, quadratic_problem, zakharov_problem
 from gradflows.sim import (
@@ -254,6 +256,28 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             integrate(FT1, EYE, [np.nan, 0.0])
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 1)])
+    def test_gradient_of_wrong_shape(self, shape):
+        prob = custom_problem(2, value=lambda x: float(x @ x), gradient=lambda x: np.ones(shape))
+        with pytest.raises(ValueError, match="gradient"):
+            integrate(FT1, prob, [1.0, 2.0])
+        with pytest.raises(ValueError, match="gradient"):
+            vector_field(FT1, prob, FlowState(x=[1.0, 2.0]))
+
+    def test_gradient_as_list(self):
+        # the identity quadratic's gradient 2x, built as a plain list
+        prob = custom_problem(
+            2,
+            value=lambda x: float(x @ x),
+            gradient=lambda x: [2.0 * x[0], 2.0 * x[1]],
+            minimizer=[0.0, 0.0],
+        )
+        opts = SimOptions(step=1e-3, horizon=2.0)
+        got = integrate(FT1, prob, [3.0, 4.0], opts)
+        want = integrate(FT1, EYE, [3.0, 4.0], opts)
+        assert got.convergence_time == want.convergence_time
+        assert np.array_equal(got.states, want.states)
+
 
 class TestRecording:
     def test_stride_thins_but_keeps_detection(self):
@@ -406,14 +430,25 @@ def counting_problem(minimizer):
     return prob, calls
 
 
-@pytest.mark.parametrize("name,per_step", [("finite_time", 2), ("second_order", 2), ("fractional", 3)])
-def test_gradient_calls_per_unguarded_step(name, per_step):
-    prob, calls = counting_problem([0.0, 0.0])
-    tr = integrate(LAWS[name], prob, [10.0, -10.0], SimOptions(step=1e-3, horizon=3.0, eps_x=3e-2))
+# one gradient per predicted point and one per accepted state; without a
+# minimizer, detection reads the norm of the latter, so the final state needs
+# one too, but no step needs a further call
+@pytest.mark.parametrize(
+    "name,per_step,minimizer",
+    [
+        pytest.param(name, 2, minimizer, id=("%s-2" if minimizer else "no_minimizer-%s-2") % name)
+        for minimizer in ([0.0, 0.0], None)
+        for name in ("finite_time", "second_order", "fractional")
+    ],
+)
+def test_gradient_calls_per_unguarded_step(name, per_step, minimizer):
+    prob, calls = counting_problem(minimizer)
+    opts = SimOptions(step=1e-3, horizon=3.0, eps_x=3e-2, eps_g=1e-2)
+    tr = integrate(LAWS[name], prob, [10.0, -10.0], opts)
     assert tr.diagnostics["substepped_steps"] == 0
     steps = len(tr.times) - 1
     assert steps > 300
-    assert calls[0] == per_step * steps
+    assert calls[0] == per_step * steps + (minimizer is None)
 
 
 UNGUARDED = SimOptions(step=1e-3, horizon=3.0, eps_x=3e-2)

@@ -202,6 +202,16 @@ class TestClosedForms:
             for a in (0.5, 1.0, 1.8):
                 assert abs(ml_eval(MLSpec(a, b), 0.0) - 1.0 / math.gamma(b)) < 1e-15
 
+    @pytest.mark.parametrize("a,b,z", [(1, 1, 50.0), (2, 1, -150.0), (2, 2, -150.0)])
+    def test_all_pole_tail_is_not_walked(self, a, b, z, monkeypatch):
+        # integer alpha and beta <= alpha: every term of the inverse-power
+        # tail sits on a pole of gamma, so the tail is zero without a walk
+        calls = []
+        real = special._rgamma_signed_log
+        monkeypatch.setattr(special, "_rgamma_signed_log", lambda x: calls.append(x) or real(x))
+        ml_eval(MLSpec(a, b), z)
+        assert len(calls) <= 1
+
 
 class TestAgainstBrute:
     @pytest.mark.parametrize("a,b,z,want", BRUTE_TABLE)
