@@ -136,42 +136,43 @@ class FlowDerivative:
     dtheta: Optional[float] = None
 
 
-def _field(law: FlowLaw, problem: Problem):
-    """The law's right-hand side on arrays, with its constants bound once.
+def _gradient(problem: Problem, x: np.ndarray):
+    """The gradient at x and its norm, rejecting an oracle output not shaped like x."""
+    g = np.asarray(problem.gradient(x), dtype=float)
+    if g.shape != x.shape:
+        raise ValueError(
+            "gradient returned shape %s for a state of shape %s" % (g.shape, x.shape)
+        )
+    return g, math.sqrt(g.dot(g))
 
-    Returns `grad(x) -> (g, ||g||)`, which rejects an oracle output not shaped
-    like x, and `rhs(g, norm_g, theta) -> (dx, dtheta)`, so a caller holding
-    the gradient at a state finishes the field there without another oracle
-    call.  `dtheta` is as in FlowDerivative, None for the finite-time law.
+
+def _drive(law: FlowLaw, norm_g: float) -> float:
+    """The gain laws' drive rho * ||g||^alpha."""
+    return law.rho * norm_g ** law.alpha
+
+
+def _rhs(law: FlowLaw, g: np.ndarray, norm_g: float, theta: Optional[float]):
+    """The law's right-hand side (dx, dtheta) from the gradient at a state.
+
+    The one implementation of the field arithmetic: `vector_field` wraps it,
+    and the integrator calls it directly where it already holds the gradient
+    at the point.  `dtheta` is as in FlowDerivative, None for the finite-time
+    law.
     """
-    gradient = problem.gradient
-    rho, alpha, lam, delta = law.rho, law.alpha, law.lam, law.delta
-    uses_gain = law.uses_gain
-    decays = law.variant is FlowVariant.FIXED_TIME_SECOND_ORDER
-
-    def grad(x):
-        g = np.asarray(gradient(x), dtype=float)
-        if g.shape != x.shape:
-            raise ValueError(
-                "gradient returned shape %s for a state of shape %s" % (g.shape, x.shape)
-            )
-        return g, math.sqrt(g.dot(g))
-
-    def rhs(g, norm_g, theta):
-        if norm_g == 0.0 and delta == 0.0:
-            raise SingularityError(
-                "gradient vanished with delta=0; detect convergence before stepping"
-            )
-        scale = (norm_g + delta) ** alpha
-        if not uses_gain:
-            return (-rho / scale) * g, None
-        dx = (-theta / scale) * g
-        drive = rho * norm_g ** alpha
-        if decays:
-            return dx, -lam * theta + drive
-        return dx, drive
-
-    return grad, rhs
+    delta = law.delta
+    if norm_g == 0.0 and delta == 0.0:
+        raise SingularityError(
+            "gradient vanished with delta=0; detect convergence before stepping"
+        )
+    scale = (norm_g + delta) ** law.alpha
+    variant = law.variant
+    if variant is FlowVariant.FINITE_TIME:
+        return (-law.rho / scale) * g, None
+    dx = (-theta / scale) * g
+    drive = _drive(law, norm_g)
+    if variant is FlowVariant.FIXED_TIME_SECOND_ORDER:
+        return dx, -law.lam * theta + drive
+    return dx, drive
 
 
 def vector_field(law: FlowLaw, problem: Problem, state: FlowState) -> FlowDerivative:
@@ -188,8 +189,7 @@ def vector_field(law: FlowLaw, problem: Problem, state: FlowState) -> FlowDeriva
         )
     if law.uses_gain and state.theta is None:
         raise ValueError("%s needs the auxiliary gain in the state" % law.variant.value)
-    grad, rhs = _field(law, problem)
-    dx, dtheta = rhs(*grad(x), state.theta)
+    dx, dtheta = _rhs(law, *_gradient(problem, x), state.theta)
     return FlowDerivative(dx=dx, dtheta=dtheta)
 
 

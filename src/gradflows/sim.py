@@ -12,11 +12,14 @@ resolved.  Substeps refine only the decision vector's clock; the fractional
 memory stays on the coarse grid (its own right-hand side is smooth through
 the terminal zone).
 
-The step works on plain arrays through `flows._field`, the one field
-implementation, whose public wrapper is `vector_field`.  Every law makes 2
-gradient calls per unguarded step, one at the predicted point and one at the
-accepted state; without a minimizer the latter's norm is also the detection
-test.
+The step passes plain (dx, dtheta) tuples.  The field at a state it steps
+from (an accepted state or a substep's start) comes from the public
+`vector_field`.  The field at the predicted point, a stage inside the gain
+rule, is finished on arrays with `flows._rhs`, the arithmetic
+`vector_field` wraps, and so is the field at an accepted state whose
+gradient the `eps_g` test already fetched.  Every law makes 2 gradient
+calls per unguarded step, one at the predicted point and one at the
+accepted state.
 """
 
 from __future__ import annotations
@@ -33,11 +36,15 @@ from .caputo import CaputoChannel
 from .flows import (
     BoundReport,
     FlowLaw,
+    FlowState,
     FlowVariant,
-    _field,
+    _drive,
+    _gradient,
+    _rhs,
     bound_finite_time,
     bound_fixed_time_fractional,
     bound_fixed_time_second_order,
+    vector_field,
 )
 from .problems import Problem
 
@@ -127,11 +134,12 @@ def _heun(field_at, gain, x, theta, d1, h, m):
     """m Heun substeps of (x, theta) across one grid step h.
 
     `d1` is the field (dx, dtheta) at (x, theta) and `field_at(x, theta)`
-    evaluates it elsewhere.  `gain(theta, d1, xp, hs)` returns the field's dx
-    at the predicted point xp together with the gain at the end of the
-    substep, so the rule alone decides how theta moves.  Also reports the
-    worst rate-times-substep seen, so the caller can tell whether this
-    resolution is inside the scheme's monotone-stable range.
+    evaluates it at the start of each later substep.  `gain(theta, d1, xp,
+    hs)` returns the field's dx at the predicted point xp together with the
+    gain at the end of the substep, so the rule alone decides how theta
+    moves.  Also reports the worst rate-times-substep seen, so the caller
+    can tell whether this resolution is inside the scheme's monotone-stable
+    range.
     """
     hs = h / m
     worst = 0.0
@@ -169,18 +177,20 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
 
-    grad, rhs = _field(law, problem)
-
     def field_at(x, theta):
-        return rhs(*grad(x), theta)
+        d = vector_field(law, problem, FlowState(x=x, theta=theta))
+        return d.dx, d.dtheta
 
-    # gain rules: each returns the field's dx at the predicted point and the
-    # gain at the end of the step
+    # gain rules: each evaluates the gradient at the predicted point, a stage
+    # of the scheme rather than a state, and returns the field's dx there and
+    # the gain at the end of the step
     def frozen(theta, d1, xp, hs):
-        return field_at(xp, theta)[0], theta
+        g, norm_g = _gradient(problem, xp)
+        return _rhs(law, g, norm_g, theta)[0], theta
 
     def coupled(theta, d1, xp, hs):
-        dx2, dtheta2 = field_at(xp, theta + hs * d1[1])
+        g, norm_g = _gradient(problem, xp)
+        dx2, dtheta2 = _rhs(law, g, norm_g, theta + hs * d1[1])
         return dx2, theta + 0.5 * hs * (d1[1] + dtheta2)
 
     def caputo(theta, d1, xp, hs):
@@ -188,9 +198,9 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
         # the memory takes for that grid point; one gradient at xp serves
         # both the drive the corrector needs and the corrected field
         channel.push(d1[1])
-        g, norm_g = grad(xp)
-        tp = channel.correct(hs, rhs(g, norm_g, theta)[1])
-        return rhs(g, norm_g, tp)[0], tp
+        g, norm_g = _gradient(problem, xp)
+        tp = channel.correct(hs, _drive(law, norm_g))
+        return _rhs(law, g, norm_g, tp)[0], tp
 
     # the fractional guard substeps only the vector clock: the gain keeps its
     # coarse-grid corrected value and the memory stays on the coarse grid
@@ -233,17 +243,15 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
         )
 
     # detection at an accepted state comes before the field there; without a
-    # minimizer it reads the gradient norm that the field then reuses
+    # minimizer it reads the gradient norm, and the field there reuses it
     if xstar is not None:
         done = dist <= opts.eps_x
     else:
-        g, norm_g = grad(x)
+        g, norm_g = _gradient(problem, x)
         done = norm_g <= opts.eps_g
     if done:
         return build(0.0)
-    if xstar is not None:
-        g, norm_g = grad(x)
-    d1 = rhs(g, norm_g, theta)
+    d1 = field_at(x, theta) if xstar is not None else _rhs(law, g, norm_g, theta)
 
     for k in range(1, n_steps + 1):
         t = k * h
@@ -258,7 +266,7 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
             if guard is not trial:
                 # the guard holds the gain at the trial's corrected value
                 theta_g = theta_new
-                d1_g = rhs(g, norm_g, theta_g)
+                d1_g = field_at(x, theta_g) if xstar is not None else _rhs(law, g, norm_g, theta_g)
             m = 2
             while m * _UPTICK_TARGET < rate_times_step and m < _MAX_SUBSTEPS:
                 m *= 2
@@ -303,7 +311,7 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
             v = v_new
             done = dist_new <= opts.eps_x
         else:
-            g, norm_g = grad(x)
+            g, norm_g = _gradient(problem, x)
             done = norm_g <= opts.eps_g
         if k % opts.record_stride == 0 or k == n_steps or done:
             times.append(t)
@@ -314,9 +322,7 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
                 lyap.append(v)
         if done:
             return build(t)
-        if xstar is not None:
-            g, norm_g = grad(x)
-        d1 = rhs(g, norm_g, theta)
+        d1 = field_at(x, theta) if xstar is not None else _rhs(law, g, norm_g, theta)
 
     return build(None)
 

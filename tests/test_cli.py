@@ -442,15 +442,28 @@ class TestSweepCommand:
 # byte identity of the shipped configs' CSVs against the benchmark's references
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-with open(os.path.join(ROOT, "bench", "data", "cli.json")) as fh:
-    CLI_REFERENCE = json.load(fh)["cases"]
+SHIPPED = (
+    "run/fractional_memory",
+    "run/quadratic_finite_time",
+    "sweep/quadratic_second_order_sweep",
+    "sweep/zakharov_second_order",
+)
 
 
-@pytest.mark.parametrize("case", sorted(k for k, ref in CLI_REFERENCE.items() if ref["csv"]))
-def test_shipped_config_csv_bytes(case, tmp_path, capsys):
+@pytest.fixture(scope="module")
+def cli_reference():
+    path = os.path.join(ROOT, "bench", "data", "cli.json")
+    if not os.path.exists(path):
+        pytest.skip("no benchmark reference at bench/data/cli.json")
+    with open(path) as fh:
+        return json.load(fh)["cases"]
+
+
+@pytest.mark.parametrize("case", SHIPPED)
+def test_shipped_config_csv_bytes(case, cli_reference, tmp_path, capsys):
     command, name = case.split("/")
     config = os.path.join(ROOT, "configs", name + ".json")
     rc, _, _ = invoke(capsys, [command, "--config", config, "--out", str(tmp_path)])
     assert rc == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
-    assert got == CLI_REFERENCE[case]["csv"]
+    assert got == cli_reference[case]["csv"]

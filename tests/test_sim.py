@@ -432,7 +432,9 @@ def counting_problem(minimizer):
 
 # one gradient per predicted point and one per accepted state; without a
 # minimizer, detection reads the norm of the latter, so the final state needs
-# one too, but no step needs a further call
+# one too, but no step needs a further call.  The field at each accepted
+# state comes from the public vector_field, unless the eps_g test already
+# fetched the gradient there; the predicted point is a stage, not a state.
 @pytest.mark.parametrize(
     "name,per_step,minimizer",
     [
@@ -441,7 +443,17 @@ def counting_problem(minimizer):
         for name in ("finite_time", "second_order", "fractional")
     ],
 )
-def test_gradient_calls_per_unguarded_step(name, per_step, minimizer):
+def test_gradient_calls_per_unguarded_step(monkeypatch, name, per_step, minimizer):
+    import gradflows.sim as sim_module
+
+    fields = [0]
+    inner = sim_module.vector_field
+
+    def counted(*args):
+        fields[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(sim_module, "vector_field", counted)
     prob, calls = counting_problem(minimizer)
     opts = SimOptions(step=1e-3, horizon=3.0, eps_x=3e-2, eps_g=1e-2)
     tr = integrate(LAWS[name], prob, [10.0, -10.0], opts)
@@ -449,6 +461,7 @@ def test_gradient_calls_per_unguarded_step(name, per_step, minimizer):
     steps = len(tr.times) - 1
     assert steps > 300
     assert calls[0] == per_step * steps + (minimizer is None)
+    assert fields[0] == (steps if minimizer else 0)
 
 
 UNGUARDED = SimOptions(step=1e-3, horizon=3.0, eps_x=3e-2)
