@@ -7,6 +7,10 @@ advances that single channel with the fractional Adams predictor-corrector
 grid with full memory.  At beta = 1 every formula collapses to the classical
 Euler predictor / trapezoidal corrector pair.
 
+Samples are stored newest-first, so both history sums are unit-stride dot
+products; they take the weight-sample pairs in the same order as a reversed
+oldest-first view would, and give the same bits without numpy's copy of it.
+
 Accuracy (Diethelm, Ford & Freed, Numer. Algorithms 36, 2004): the error is
 O(h**(1+beta)) when D^beta theta is C^2 on [0, T], e.g. theta = t**(1+beta).
 It is lower when the solution is not smooth at 0, as for the relaxation
@@ -87,24 +91,25 @@ class CaputoChannel:
 
     Mutable per-simulation object; push one right-hand-side sample per
     accepted step, then predict/correct the value at the next grid point.
-    Not safe for concurrent mutation.
+    Not safe for concurrent mutation.  The n samples sit newest-first at the
+    end of one buffer, `_g[-n:]`; `push` grows it and the weight tables.
     """
 
     def __init__(self, beta: float, initial_value: float = 0.0):
         self.beta = real_in("fractional order", beta, 0.0, 1.0, high_closed=True)
         self.initial_value = real_in("initial value", initial_value, -math.inf)
-        self._g = np.empty(64)
+        self._g = np.empty(0)
         self._n = 0
         self._rg1 = 1.0 / math.gamma(self.beta + 1.0)
         self._rg2 = 1.0 / math.gamma(self.beta + 2.0)
-        self._grow_tables(64)
+        self._resize(64)
 
     # -- state ------------------------------------------------------------
 
     @property
     def history(self) -> np.ndarray:
         """Copy of the accepted right-hand-side samples, oldest first."""
-        return self._g[: self._n].copy()
+        return self._g[len(self._g) - self._n :][::-1].copy()
 
     def __len__(self) -> int:
         return self._n
@@ -116,33 +121,25 @@ class CaputoChannel:
         """Record the right-hand-side sample of the step just accepted."""
         if not math.isfinite(sample):
             raise ValueError("right-hand-side sample must be finite, got %r" % (sample,))
-        if self._n == len(self._g):
-            g = np.empty(2 * len(self._g))
-            g[: self._n] = self._g
-            self._g = g
-        self._g[self._n] = sample
+        if self._n + 2 > len(self._g):
+            self._resize(2 * len(self._g))
         self._n += 1
+        self._g[-self._n] = sample
 
-    def _grow_tables(self, upto: int) -> None:
-        # power tables are rebuilt wholesale on each doubling; total cost
-        # stays linear in the final length
-        m = 64
-        while m < upto + 2:
-            m *= 2
+    def _resize(self, m: int) -> None:
+        # one spare slot lets the tables reach index n; rebuilding them on
+        # each doubling keeps total cost linear in the final length
+        n = self._n
+        g = np.empty(m)
+        g[m - n :] = self._g[len(self._g) - n :]
+        self._g = g
         idx = np.arange(m, dtype=float)
-        b = self.beta
-        pw = idx ** b
-        pw1 = idx ** (b + 1.0)
-        self._pw = pw
-        self._pw1 = pw1
+        self._pw = pw = idx ** self.beta
+        self._pw1 = pw1 = idx ** (self.beta + 1.0)
         self._cw = np.empty(m - 1)
         self._cw[0] = np.nan  # i = 0 never a valid interior index
         self._cw[1:] = pw1[2:] - 2.0 * pw1[1:-1] + pw1[:-2]
         self._pd = pw[1:] - pw[:-1]
-
-    def _ensure(self, n: int) -> None:
-        if n + 2 > len(self._pw):
-            self._grow_tables(n + 2)
 
     # -- stepping ---------------------------------------------------------
 
@@ -152,8 +149,7 @@ class CaputoChannel:
         if n < 1:
             raise InconsistentStateError("predict needs at least one stored sample")
         real_in("step", step)
-        self._ensure(n)
-        acc = float(np.dot(self._pd[:n], self._g[n - 1 :: -1]))
+        acc = float(np.dot(self._pd[:n], self._g[-n:]))
         return self.initial_value + step ** self.beta * self._rg1 * acc
 
     def correct(self, step: float, new_sample: float) -> float:
@@ -167,11 +163,10 @@ class CaputoChannel:
         if n < 1:
             raise InconsistentStateError("correct needs at least one stored sample")
         real_in("step", step)
-        self._ensure(n)
         a0 = self._pw1[n - 1] - (n - 1.0 - self.beta) * self._pw[n]
-        acc = a0 * self._g[0] + float(new_sample)
+        acc = a0 * self._g[-1] + float(new_sample)
         if n >= 2:
-            acc += float(np.dot(self._cw[1:n], self._g[n - 1 : 0 : -1]))
+            acc += float(np.dot(self._cw[1:n], self._g[-n:-1]))
         return self.initial_value + step ** self.beta * self._rg2 * acc
 
 
@@ -202,11 +197,14 @@ def solve_caputo(beta, rhs, t_final, step, initial_value=0.0):
 
     Returns (times, values) as arrays including the initial point.  The rhs
     at each accepted state is what enters the memory, per the
-    predict-evaluate-correct-evaluate pattern.
+    predict-evaluate-correct-evaluate pattern.  `t_final` must be a whole
+    number of steps; an off-grid horizon raises ValueError.
     """
     real_in("final time", t_final)
     real_in("step", step, 0.0, t_final, high_closed=True)
     n_steps = int(round(t_final / step))
+    if abs(n_steps * step - t_final) > 1e-9 * t_final:
+        raise ValueError("final time %r is not a whole number of steps %r" % (t_final, step))
     ch = CaputoChannel(beta, initial_value)
     times = np.arange(n_steps + 1) * step
     vals = np.empty(n_steps + 1)

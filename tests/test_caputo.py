@@ -13,6 +13,7 @@ from gradflows.caputo import (
     predictor_weights,
     solve_caputo,
 )
+from gradflows.special import MLSpec, ml_eval
 
 
 class TestWeights:
@@ -73,6 +74,26 @@ class TestAnalyticOracles:
         ref = math.gamma(2.0) / math.gamma(2.5) * ts ** 1.5
         assert np.max(np.abs(th - ref)) < 2e-3
         assert np.max(np.abs(th - ref)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "b, err_fine, min_ratio",
+        [(0.2, 3.0e-3, 1.6), (0.5, 6.7e-5, 1.6), (0.8, 3.1e-7, 2.7)],
+    )
+    def test_relaxation_matches_mittag_leffler(self, b, err_fine, min_ratio):
+        # D^b th = -th, th(0) = 1  ->  th(t) = E_b(-t^b).  The solution is not
+        # smooth at 0, so the order is below 1+b and "ratio >= 2" fails at b <= 0.5:
+        # measured errors 9.5e-3, 5.5e-3, 3.0e-3 (b = 0.2), 2.4e-4, 1.3e-4,
+        # 6.7e-5 (0.5) and 2.7e-6, 9.2e-7, 3.1e-7 (0.8) at h = 2e-3, 1e-3, 5e-4
+        spec = MLSpec(b, 1.0)
+
+        def run(h):
+            ts, th = solve_caputo(b, lambda t, y: -y, 1.0, h, initial_value=1.0)
+            exact = np.array([ml_eval(spec, -t ** b, tol=1e-13) for t in ts])
+            return np.max(np.abs(th - exact))
+
+        coarse, mid, fine = run(2e-3), run(1e-3), run(5e-4)
+        assert fine <= 2.0 * err_fine
+        assert coarse / mid >= min_ratio and mid / fine >= min_ratio
 
     def test_power_rhs(self):
         # first genuinely inexact case: D^b th = t^2.2
@@ -136,20 +157,34 @@ def test_nonnegative_rhs_keeps_channel_nonnegative():
         ch.push(samples[k])
 
 
-def test_channel_agrees_with_reference_advance():
-    rng = np.random.default_rng(7)
-    g = rng.standard_normal(300)
-    ch = CaputoChannel(0.6, 0.3)
+def _step_against_references(ch, g, h):
+    """Push g[0], then predict/correct/push g[1:]; worst gaps to the references."""
     ch.push(g[0])
-    h = 0.05
-    worst = 0.0
-    for k in range(1, 300):
-        fast = ch.correct(h, g[k])
-        ref = caputo_advance(ch, g[: k + 1], h)
-        worst = max(worst, abs(fast - ref))
+    worst_p = worst_c = 0.0
+    for k in range(1, len(g)):
+        b_k = predictor_weights(ch.beta, k)
+        ref_p = ch.initial_value + h ** ch.beta * float(np.dot(b_k, g[:k]))
+        worst_p = max(worst_p, abs(ch.predict(h) - ref_p))
+        worst_c = max(worst_c, abs(ch.correct(h, g[k]) - caputo_advance(ch, g[: k + 1], h)))
         ch.push(g[k])
-    # crosses several internal table regrowths; must agree to roundoff
-    assert worst < 1e-13
+    return worst_p, worst_c
+
+
+def test_channel_agrees_with_reference_advance():
+    # 1100 samples cross every buffer doubling from 64 to 1024; predictor
+    # and corrector must agree with the rebuilt weights to roundoff
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal(1100)
+    ch = CaputoChannel(0.6, 0.3)
+    worst_p, worst_c = _step_against_references(ch, g, 0.05)
+    assert worst_p < 1e-13 and worst_c < 1e-13
+    assert np.array_equal(ch.history, g)  # oldest first after growth
+    # after reset the grown buffer is refilled from its newest end
+    ch.reset()
+    g2 = rng.standard_normal(150)
+    worst_p, worst_c = _step_against_references(ch, g2, 0.05)
+    assert worst_p < 1e-13 and worst_c < 1e-13
+    assert np.array_equal(ch.history, g2)
 
 
 class TestChannelState:
@@ -237,6 +272,9 @@ def test_solver_validation():
         solve_caputo(0.5, lambda t, y: 1.0, 1.0, 2.0)
     with pytest.raises(ValueError):
         solve_caputo(0.5, lambda t, y: 1.0, 1.0, 0.0)
+    for step in (0.3, 0.4):  # would otherwise stop early, at 0.9 and 0.8
+        with pytest.raises(ValueError, match="whole number of steps"):
+            solve_caputo(0.5, lambda t, y: 1.0, 1.0, step)
 
 
 def test_solver_grid_shape():
