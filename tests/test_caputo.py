@@ -187,6 +187,47 @@ def test_channel_agrees_with_reference_advance():
     assert np.array_equal(ch.history, g2)
 
 
+def _direct_sums(b, g, h, init):
+    """Predictor and corrector at grid point n = len(g) - 1 by the unblocked
+    arithmetic: numpy power tables, one dot product per sum."""
+    n = len(g) - 1
+    idx = np.arange(n + 2, dtype=float)
+    pw, pw1 = idx ** b, idx ** (b + 1.0)
+    pred = float(np.dot((pw[1:] - pw[:-1])[:n], g[n - 1 :: -1]))
+    acc = (pw1[n - 1] - (n - 1.0 - b) * pw[n]) * g[0] + float(g[n])
+    if n >= 2:
+        cw = pw1[2 : n + 1] - 2.0 * pw1[1:n] + pw1[: n - 1]
+        acc += float(np.dot(cw, g[n - 1 : 0 : -1]))
+    return (init + h ** b * (1.0 / math.gamma(b + 1.0)) * pred,
+            init + h ** b * (1.0 / math.gamma(b + 2.0)) * acc)
+
+
+@pytest.mark.parametrize("b", [0.2, 0.5, 0.8, 1.0])
+def test_long_memory_matches_direct_sums(b):
+    # from 256 samples on, the older history enters through FFT blocks and
+    # must agree with the direct sums to roundoff, through 2**16 samples and
+    # after a reset; below 256 the channel is the direct sum, bit for bit
+    rng = np.random.default_rng(11)
+    h, init = 0.5, 0.3
+    ch = CaputoChannel(b, init)
+    for size in (1 << 16, 3000):
+        g = rng.standard_normal(size + 1)
+        checks = set(np.geomspace(256, size, 60).astype(int).tolist())
+        checks |= {(1 << k) + d for k in range(8, 17) for d in (-1, 0, 1)}
+        ch.reset()
+        for n in range(1, size + 1):
+            ch.push(g[n - 1])
+            if n < 256:
+                assert (ch.predict(h), ch.correct(h, g[n])) == _direct_sums(b, g[: n + 1], h, init)
+            elif n in checks:
+                bw, mw = predictor_weights(b, n), memory_weights(b, n)
+                terms_p, terms_c = h ** b * bw * g[:n], h ** b * mw * g[: n + 1]
+                err_p = abs(ch.predict(h) - init - terms_p.sum())
+                err_c = abs(ch.correct(h, g[n]) - init - terms_c.sum())
+                assert err_p <= 1e-13 * np.abs(terms_p).sum(), n
+                assert err_c <= 1e-13 * np.abs(terms_c).sum(), n
+
+
 class TestChannelState:
     def test_validation(self):
         for b in (0.0, 1.5, -1.0, math.nan):
@@ -275,6 +316,19 @@ def test_solver_validation():
     for step in (0.3, 0.4):  # would otherwise stop early, at 0.9 and 0.8
         with pytest.raises(ValueError, match="whole number of steps"):
             solve_caputo(0.5, lambda t, y: 1.0, 1.0, step)
+
+
+def test_solver_calls_rhs_twice_per_step():
+    # one call at each predicted and each corrected point, plus t = 0; the
+    # final corrected state feeds no later point and is not evaluated
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return -y
+
+    solve_caputo(0.5, rhs, 1.0, 1e-3, initial_value=1.0)
+    assert len(calls) == 2 * 1000
 
 
 def test_solver_grid_shape():
