@@ -41,7 +41,6 @@ from .sim import (
 )
 from .special import (
     MLSpec,
-    PrecisionLossError,
     ZeroKind,
     ZeroQuery,
     ZeroSearchError,
@@ -63,7 +62,6 @@ __all__ = [
     "InconsistentStateError",
     "InsufficientConstantsError",
     "MLSpec",
-    "PrecisionLossError",
     "Problem",
     "SimOptions",
     "SingularityError",

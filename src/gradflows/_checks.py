@@ -1,19 +1,20 @@
 """Argument check shared by the public entry points."""
 
 import math
-
-_REAL = (int, float)
+import numbers
 
 
 def real_in(name, value, low=0.0, high=math.inf, low_closed=False, high_closed=False) -> float:
     """`value` as a float when it is a real number inside the interval.
 
     Ends are open unless marked closed, so the defaults accept exactly the
-    positive finite reals and NaN never passes.  Otherwise raises ValueError
+    positive finite reals and NaN never passes.  Any real number type counts,
+    numpy scalars included, but a bool does not.  Otherwise raises ValueError
     naming the parameter and the allowed interval.
     """
+    # a float first: the check against the numbers.Real ABC costs ~0.4 us
     if (
-        isinstance(value, _REAL)
+        (type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool))
         and (low < value or low_closed and low == value)
         and (value < high or high_closed and value == high)
     ):

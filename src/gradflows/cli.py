@@ -29,7 +29,6 @@ from .problems import quadratic_problem, zakharov_problem
 from .sim import DivergenceError, SimOptions, applicable_bound, integrate, sweep
 from .special import (
     MLSpec,
-    PrecisionLossError,
     ZeroQuery,
     ZeroSearchError,
     ml_eval,
@@ -447,7 +446,7 @@ def main(argv=None) -> int:
     except (DivergenceError, SingularityError) as exc:
         print("simulation failed: %s" % exc, file=sys.stderr)
         return 3
-    except (ValueError, PrecisionLossError, ZeroSearchError, OverflowError) as exc:
+    except (ValueError, ZeroSearchError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -96,15 +96,18 @@ class TestMlCommands:
         assert err
 
 
-def cli_subprocess(argv):
-    """Run the CLI in a fresh interpreter, so a search that never ends fails the
-    test at the timeout instead of hanging the suite."""
+def python_subprocess(args):
+    """Run a fresh interpreter on the package under test, so a search that
+    never ends fails the test at the timeout instead of hanging the suite."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "gradflows.cli", *argv],
-        capture_output=True, text=True, timeout=60, env=env,
+        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env,
     )
+
+
+def cli_subprocess(argv):
+    return python_subprocess(["-m", "gradflows.cli", *argv])
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
@@ -120,6 +123,36 @@ def test_zero_with_tolerance_below_double_resolution():
     assert proc.returncode == 0, proc.stderr
     default = cli_subprocess(["ml", "zero", "--alpha", "1.5"])
     assert abs(float(proc.stdout) - float(default.stdout)) <= 1e-6
+
+
+def test_runs_without_mpmath():
+    # mpmath is a test dependency only: the package and the ML commands must
+    # import and run with it blocked
+    code = """
+import contextlib, io, sys
+sys.modules["mpmath"] = None
+import gradflows
+from gradflows import cli
+for argv in (["ml", "eval", "--alpha", "1.05", "--z", "-75"], ["ml", "table"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    print(rc)
+    print(out.getvalue(), end="")
+"""
+    proc = python_subprocess(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "0",
+        "-0.000665476646207",
+        "0",
+        "alpha  first_zero",
+        "1.7    1.569252",
+        "1.5    1.645229",
+        "1.3    1.893382",
+        "1.1    2.882974",
+        "1.05   3.721496",
+    ]
 
 
 class TestBoundsCommand:

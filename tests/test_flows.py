@@ -68,6 +68,13 @@ class TestFlowLaw:
         with pytest.raises(ValueError):
             FlowLaw(variant="finite_time", rho=1.0, alpha=alpha)
 
+    def test_numpy_scalars_accepted_bool_rejected(self):
+        law = FlowLaw(variant="finite_time", rho=np.float32(2.0), alpha=np.int64(1))
+        assert (law.rho, law.alpha) == (2.0, 1.0)
+        assert type(law.rho) is float and type(law.alpha) is float
+        with pytest.raises(ValueError, match="rho"):
+            FlowLaw(variant="finite_time", rho=True, alpha=1.0)
+
     def test_exponent_boundary_allowed(self):
         assert FlowLaw(variant="finite_time", rho=1.0, alpha=2.0).alpha == 2.0
         assert FlowLaw(variant="finite_time", rho=1.0, alpha=1e-300).alpha == 1e-300

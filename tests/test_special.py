@@ -1,14 +1,15 @@
 """Checks for the Mittag-Leffler evaluator and the first-zero search."""
 
 import math
+import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 from gradflows import special
 from gradflows.special import (
     MLSpec,
-    PrecisionLossError,
     ZeroKind,
     ZeroQuery,
     ZeroSearchError,
@@ -17,7 +18,7 @@ from gradflows.special import (
     ml_first_positive_zero,
     ml_kernel_eval,
 )
-from gradflows.special import _eval_asymptotic, _rgamma, _series_route
+from gradflows.special import _integral_route, _rgamma, _series_route
 
 
 def brute_series(a, b, z, extra=40):
@@ -51,9 +52,9 @@ def brute_series(a, b, z, extra=40):
         return float(tot)
 
 
-# Frozen outputs of brute_series (chosen to cover every routing branch of the
-# evaluator: plain double series, escalated-precision series, inverse-power
-# tail alone, tail plus oscillatory pair, and the near-alpha-one window).
+# Frozen outputs of brute_series (chosen to cover both routes of the
+# evaluator: the double series, the contour integral with and without the
+# residues of the oscillatory pair, and the near-alpha-one window).
 BRUTE_TABLE = [
     (0.5, 1.0, -3.0, 0.17900115118138995),
     (0.7, 1.3, -7.0, 0.097138262110773758),
@@ -202,16 +203,6 @@ class TestClosedForms:
             for a in (0.5, 1.0, 1.8):
                 assert abs(ml_eval(MLSpec(a, b), 0.0) - 1.0 / math.gamma(b)) < 1e-15
 
-    @pytest.mark.parametrize("a,b,z", [(1, 1, 50.0), (2, 1, -150.0), (2, 2, -150.0)])
-    def test_all_pole_tail_is_not_walked(self, a, b, z, monkeypatch):
-        # integer alpha and beta <= alpha: every term of the inverse-power
-        # tail sits on a pole of gamma, so the tail is zero without a walk
-        calls = []
-        real = special._rgamma_signed_log
-        monkeypatch.setattr(special, "_rgamma_signed_log", lambda x: calls.append(x) or real(x))
-        ml_eval(MLSpec(a, b), z)
-        assert len(calls) <= 1
-
 
 class TestAgainstBrute:
     @pytest.mark.parametrize("a,b,z,want", BRUTE_TABLE)
@@ -241,31 +232,65 @@ class TestAgainstBrute:
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
-class TestPositiveAxis:
-    def test_exponential_route_against_brute(self, monkeypatch):
-        """Large positive arguments: every value the exponential route serves
-        agrees with the brute series to 1e-12 relative (absolute below one)."""
-        served = []
-        route = special._exponential_route
+# Orders for the integral route's oracle: below the spec box, around alpha = 1
+# on both sides and exactly, and up to alpha = 2 exactly.
+INTEGRAL_ALPHAS = (0.2, 0.3, 0.45, 0.5, 0.75, 0.9999, 1.0, 1.0001, 1.05, 1.5, 1.95, 2.0)
 
-        def recording(a, b, z, tol):
-            out = route(a, b, z, tol)
-            if out is not None:
-                served.append((a, b, z, out))
+
+class TestIntegralRoute:
+    def test_integral_route_against_brute(self, monkeypatch):
+        """Every value the contour integral serves on the grid agrees with the
+        brute series to 1e-12 relative (absolute below one)."""
+        served = {}
+        route = special._integral_route
+
+        def recording(a, b, z):
+            out = route(a, b, z)
+            served[(a, b, z)] = out
             return out
 
-        monkeypatch.setattr(special, "_exponential_route", recording)
-        # 0.5 + 0.05 * 23 puts the k = 2 tail term next to a pole at beta = 0.3
-        for a in (0.5, 0.75, 1.0, 1.05, 1.25, 1.5, 0.5 + 0.05 * 23, 1.75, 2.0):
-            for b in (0.3, 0.5, 1.0, 1.5, 2.0, 3.7):
-                for z in (12.5, 20.0, 35.0, 60.0, 80.25, 95.0, 150.0, 300.0):
-                    if z ** (1.0 / a) <= 300.0:  # bounds the brute series' work
-                        ml_eval(MLSpec(a, b), z)
-        assert len(served) >= 20
-        for a, b, z, got in served:
+        monkeypatch.setattr(special, "_integral_route", recording)
+        for a in INTEGRAL_ALPHAS:
+            for b in sorted({0.3, 1.0, a, 1.5, 2.0, 3.7}):
+                # scaled arguments r = |z|^(1/alpha) up to 120, both signs,
+                # and up to 40 below the spec box (alpha < 0.5): the brute
+                # series sums about r/alpha terms at 40 + r/2.3 digits
+                for r in (0.5, 1.5, 4.0, 12.0, 40.0, 120.0):
+                    if a < 0.5 and r > 40.0:
+                        continue
+                    for z in (-r ** a, r ** a):
+                        for tol in (1e-9, 1e-14):
+                            ml_eval(MLSpec(a, b), z, tol=tol)
+        assert len(served) >= 500
+        for (a, b, z), got in served.items():
             want = brute_series(a, b, z)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (a, b, z, got, want)
 
+    def test_deep_argument_matches_inverse_powers(self):
+        # alpha < 1 has no residues on the negative axis, and at z = -1e4 the
+        # inverse-power expansion -sum_k z^-k / Gamma(beta - alpha k) is exact
+        # to far below 1e-9 after five terms
+        a, b, z = 0.99, 1.0, -1.0e4
+        want = -sum(z ** -k * _rgamma(b - a * k) for k in range(1, 6))
+        assert abs(ml_eval(MLSpec(a, b), z) - want) <= 1e-9 * abs(want)
+
+    @pytest.mark.parametrize("x", [1e8, 1e200])
+    def test_far_negative_axis(self, x):
+        # |z|^(1/alpha) = x^2 puts nodes within one rounding of -r0 (1e16)
+        # and past double range (1e400): E_{1/2,1}(-x) = exp(x^2) erfc(x),
+        # which is 1/(sqrt(pi) x) to far below 1e-13 here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ml_eval(MLSpec(0.5, 1.0), -x)
+        assert abs(got * math.sqrt(math.pi) * x - 1.0) <= 1e-13
+
+    def test_order_above_two_is_refused(self):
+        # the series gate fails here and the contour integral needs alpha <= 2
+        with pytest.raises(ValueError, match="alpha <= 2"):
+            ml_eval(MLSpec(2.5, 1.0), -1.0e4)
+
+
+class TestPositiveAxis:
     @pytest.mark.parametrize("t", [10.0, 12.0, 20.0])
     def test_subdominant_exponential_at_tight_tolerance(self, t):
         # E_{2,1}(t^2) = cosh t and E_{2,2}(t^2) = sinh(t)/t carry exp(-t)
@@ -276,18 +301,16 @@ class TestPositiveAxis:
 
 
 def test_series_and_continuation_agree_across_handoff():
-    # Both machineries are valid in a band around |z| = 10; they must agree
-    # to within the continuation's own error floor plus the series tolerance.
-    for a in (0.5, 0.7):
+    # Around |z| = 10 both routes serve these orders: wherever the series gate
+    # certifies 1e-12, the contour integral must agree with the series to 1e-12.
+    for a in (1.6, 1.8, 2.0):
         for b in (0.5, 1.25, 2.0):
-            for z in (-8.5, -9.5, -10.5, -11.5):
-                s = _series_route(a, b, z, 1e-12)
-                v, floor = _eval_asymptotic(a, b, z)
-                # the floor can reach ~1e-6 at the shallow end of the band,
-                # which is exactly why the router rejects the continuation
-                # there for tight tolerances
-                assert floor < 1e-5
-                assert abs(s - v) <= 1e-8 + 4.0 * floor
+            for x in (8.5, 9.5, 10.5, 11.5):
+                for z in (-x, x):
+                    s = _series_route(a, b, z, 1e-12)
+                    assert s is not None, (a, b, z)
+                    v = _integral_route(a, b, z)
+                    assert abs(s - v) <= 1e-12 * max(1.0, abs(s)), (a, b, z, s, v)
 
 
 class TestKernel:
@@ -351,11 +374,23 @@ class TestEvalErrors:
             ml_eval(MLSpec(1.5, 1.0 + 1e-5 * i), -0.5)
         assert 0 < len(special._coef_cache) <= special._COEF_CACHE_SIZE
 
-    def test_precision_loss_is_reported(self):
-        with pytest.raises(PrecisionLossError):
-            _series_route(0.5, 1.0, -100.0, 1e-9)
-        with pytest.raises(PrecisionLossError):
-            ml_eval(MLSpec(0.99, 1.0), -1.0e4)
+    @pytest.mark.parametrize("bad", [True, "1.0", None])
+    def test_rejects_non_real_argument(self, bad):
+        with pytest.raises(ValueError, match="z"):
+            ml_eval(MLSpec(1.5, 1.0), bad)
+
+    def test_numpy_real_scalars(self):
+        # any real number type passes validation, numpy scalars included
+        spec = MLSpec(1.5, 1.0)
+        assert ml_eval(spec, np.float32(-2.0)) == ml_eval(spec, -2.0)
+        assert ml_eval(spec, np.int64(-3)) == ml_eval(spec, -3.0)
+        # orders are stored as Python floats, so no float32 arithmetic follows
+        assert MLSpec(np.float32(1.25), np.int64(1)) == MLSpec(1.25, 1.0)
+        assert type(MLSpec(np.float32(1.25), np.int64(1)).alpha) is float
+        got = ml_kernel_eval(spec, np.float32(2.0), np.int64(1))
+        assert got == ml_kernel_eval(spec, 2.0, 1.0)
+        with pytest.raises(ValueError, match="rho"):
+            ml_kernel_eval(spec, True, 1.0)
 
 
 class TestFirstZero:
