@@ -7,14 +7,7 @@ convergence-time bound calculators.
 
 __version__ = "0.1.0"
 
-from .caputo import (
-    CaputoChannel,
-    InconsistentStateError,
-    caputo_advance,
-    memory_weights,
-    predictor_weights,
-    solve_caputo,
-)
+from .caputo import CaputoChannel, InconsistentStateError, solve_caputo
 from .flows import (
     BoundReport,
     ConditionNotMetError,
@@ -74,15 +67,12 @@ __all__ = [
     "bound_finite_time",
     "bound_fixed_time_fractional",
     "bound_fixed_time_second_order",
-    "caputo_advance",
     "custom_problem",
     "gamma",
     "integrate",
-    "memory_weights",
     "ml_eval",
     "ml_first_positive_zero",
     "ml_kernel_eval",
-    "predictor_weights",
     "quadratic_problem",
     "solve_caputo",
     "sweep",

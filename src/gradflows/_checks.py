@@ -1,4 +1,4 @@
-"""Argument check shared by the public entry points."""
+"""Argument checks shared by the public entry points."""
 
 import math
 import numbers
@@ -23,3 +23,14 @@ def real_in(name, value, low=0.0, high=math.inf, low_closed=False, high_closed=F
         "%s must lie in %s%g, %g%s, got %r"
         % (name, "[" if low_closed else "(", low, high, "]" if high_closed else ")", value)
     )
+
+
+def positive_int(name, value) -> int:
+    """`value` as an int when it is an integer of at least 1.
+
+    Any integral type counts, numpy integers included, but a bool does not.
+    Otherwise raises ValueError naming the parameter.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1:
+        return int(value)
+    raise ValueError("%s must be a positive integer, got %r" % (name, value))

@@ -18,6 +18,10 @@ up ahead of time; these agree with the direct sums to roundoff (below
 for bit.  The corrector's end weight, which multiplies the first sample,
 stays outside the blocks and keeps its direct arithmetic.
 
+`_lag_weights` builds the weights by lag for both the direct-sum tables and
+the FFT kernels, `_end_weights` the end weights.  The unblocked reference
+sums live in tests/test_caputo.py.
+
 Accuracy (Diethelm, Ford & Freed, Numer. Algorithms 36, 2004): the error is
 O(h**(1+beta)) when D^beta theta is C^2 on [0, T], e.g. theta = t**(1+beta).
 It is lower when the solution is not smooth at 0, as for the relaxation
@@ -37,9 +41,6 @@ from ._checks import real_in
 __all__ = [
     "CaputoChannel",
     "InconsistentStateError",
-    "caputo_advance",
-    "memory_weights",
-    "predictor_weights",
     "solve_caputo",
 ]
 
@@ -60,59 +61,26 @@ _BLOCK = 256
 _CACHED_LEVEL = 1024
 
 
+def _lag_weights(beta: float, row: int, count: int) -> np.ndarray:
+    """Unscaled weights at lags i = 1, ..., count: the predictor's (row 0)
+    i**beta - (i-1)**beta, or the corrector's interior (row 1) second
+    differences (i+1)**(beta+1) - 2 * i**(beta+1) + (i-1)**(beta+1)."""
+    pw = np.arange(count + 1 + row, dtype=float) ** (beta + row)
+    if row == 0:
+        return pw[1:] - pw[:-1]
+    return pw[2:] - 2.0 * pw[1:-1] + pw[:-2]
+
+
 def _end_weights(beta: float, first: int, count: int) -> np.ndarray:
     """End weights (n-1)**(beta+1) - (n-1-beta) * n**beta for n = first, ..., first + count - 1.
 
-    `first` >= 1.  Both powers come from numpy arrays, whose elements do not
-    depend on their position, so every caller gets the same bits for one n.
+    `first` >= 1.  The corrector fetches them in blocks of `_BLOCK` outputs
+    (`CaputoChannel._a0`).  Both powers come from numpy arrays, whose
+    elements do not depend on their position, so an output gets the same
+    bits whichever block serves it.
     """
     idx = np.arange(first - 1, first + count, dtype=float)
     return idx[:-1] ** (beta + 1.0) - (idx[1:] - 1.0 - beta) * idx[1:] ** beta
-
-
-def memory_weights(beta: float, n: int) -> np.ndarray:
-    """Convolution weights of the product-trapezoidal corrector at grid point n.
-
-    Returns n+1 positive weights w_0..w_n such that, with uniform step h and
-    right-hand-side samples g_0..g_n (the last one normally a predicted
-    value), the channel update reads
-
-        theta_n = theta(0) + h**beta * dot(w, g).
-
-    For n = 0 the single weight is the one-step product-rectangle weight.
-    Constant samples reproduce t**beta / Gamma(beta+1) exactly at every grid
-    point; with beta = 1 the weights are the trapezoidal rule's.
-    """
-    beta = real_in("fractional order", beta, 0.0, 1.0, high_closed=True)
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
-        raise ValueError("step index must be a nonnegative integer, got %r" % (n,))
-    if n == 0:
-        return np.array([1.0 / math.gamma(beta + 1.0)])
-    idx = np.arange(n + 2, dtype=float)
-    pw1 = idx ** (beta + 1.0)
-    w = np.empty(n + 1)
-    w[0] = _end_weights(beta, n, 1)[0]
-    # interior second differences of i**(beta+1), reversed so the oldest
-    # sample meets the widest lag
-    if n >= 2:
-        w[1:n] = (pw1[2 : n + 1] - 2.0 * pw1[1:n] + pw1[0 : n - 1])[::-1]
-    w[n] = 1.0
-    w /= math.gamma(beta + 2.0)
-    return w
-
-
-def predictor_weights(beta: float, n: int) -> np.ndarray:
-    """Product-rectangle predictor weights for grid point n from samples 0..n-1.
-
-    Length-n positive vector b with  theta_pred = theta(0) + h**beta * dot(b, g).
-    With beta = 1 all weights are 1 (the explicit Euler sum).
-    """
-    beta = real_in("fractional order", beta, 0.0, 1.0, high_closed=True)
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError("predictor needs at least one stored sample, got n=%r" % (n,))
-    idx = np.arange(n + 1, dtype=float)
-    pw = idx ** beta
-    return (pw[1:] - pw[:-1])[::-1] / math.gamma(beta + 1.0)
 
 
 class CaputoChannel:
@@ -143,13 +111,9 @@ class CaputoChannel:
         self._rg2 = 1.0 / math.gamma(self.beta + 2.0)
         self._g = np.empty(_BLOCK)
         self._far = np.zeros((2, 2 * _BLOCK))  # a fold at count m reaches output 2m - 1
-        idx = np.arange(_BLOCK + 1, dtype=float)
-        pw = idx ** self.beta
-        pw1 = idx ** (self.beta + 1.0)
-        self._pd = pw[1:] - pw[:-1]
-        self._cw = np.empty(_BLOCK)
-        self._cw[0] = np.nan  # i = 0 never a valid interior index
-        self._cw[1:] = pw1[2:] - 2.0 * pw1[1:-1] + pw1[:-2]
+        # near tables indexed by lag; lag 0 is never an interior one
+        self._pd = _lag_weights(self.beta, 0, _BLOCK)
+        self._cw = np.concatenate(([np.nan], _lag_weights(self.beta, 1, _BLOCK - 1)))
         self._a0_from = 0  # first output that the end-weight block `_a0` serves
         self._a0 = np.empty(0)
         self._kernels = {}
@@ -206,9 +170,8 @@ class CaputoChannel:
         # lags 0..2L-1, lag 0 zeroed
         K = self._kernels.get((L, row))
         if K is None:
-            pw = np.arange(2 * L + 1, dtype=float) ** (self.beta + row)
             k = np.zeros(2 * L)
-            k[1:] = pw[1:-1] - pw[:-2] if row == 0 else pw[2:] - 2.0 * pw[1:-1] + pw[:-2]
+            k[1:] = _lag_weights(self.beta, row, 2 * L - 1)
             K = np.fft.rfft(k)
             if L <= _CACHED_LEVEL:
                 self._kernels[L, row] = K
@@ -254,28 +217,6 @@ class CaputoChannel:
         elif n >= 2:
             acc += float(np.dot(self._cw[1:n], self._g[lo:-1]))
         return self.initial_value + step ** self.beta * self._rg2 * acc
-
-
-def caputo_advance(channel: CaputoChannel, rhs_history, step: float) -> float:
-    """Reference advance: channel value at the next grid point.
-
-    `rhs_history` must hold every accepted sample plus the new point's
-    (predicted) right-hand side, i.e. one entry more than the channel has
-    stored.  Weights are rebuilt from scratch; the incremental path on the
-    channel must agree with this to roundoff.
-    """
-    if not isinstance(channel, CaputoChannel):
-        raise TypeError("caputo_advance needs a CaputoChannel, got %r" % (channel,))
-    real_in("step", step)
-    rhs = np.asarray(rhs_history, dtype=float)
-    if rhs.ndim != 1 or len(rhs) != len(channel) + 1 or len(rhs) < 2:
-        raise InconsistentStateError(
-            "need the %d stored samples plus the new point, got %d values"
-            % (len(channel), len(rhs))
-        )
-    n = len(rhs) - 1
-    w = memory_weights(channel.beta, n)
-    return channel.initial_value + step ** channel.beta * float(np.dot(w, rhs))
 
 
 def solve_caputo(beta, rhs, t_final, step, initial_value=0.0):

@@ -9,11 +9,12 @@ gradient fallback.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from ._checks import positive_int, real_in
 
 __all__ = [
     "Problem",
@@ -44,18 +45,15 @@ class Problem:
     strong_convexity: Optional[float] = None
 
     def __post_init__(self):
-        if not (isinstance(self.dimension, (int, np.integer)) and self.dimension >= 1):
-            raise ValueError("dimension must be a positive integer, got %r" % (self.dimension,))
+        positive_int("dimension", self.dimension)
         if not callable(self.value) or not callable(self.gradient):
             raise TypeError("value and gradient oracles must be callable")
         if self.lipschitz is not None:
-            if not (math.isfinite(self.lipschitz) and self.lipschitz > 0):
-                raise ValueError("lipschitz constant must be positive, got %r" % (self.lipschitz,))
+            object.__setattr__(self, "lipschitz", real_in("lipschitz constant", self.lipschitz))
         if self.strong_convexity is not None:
-            if not (math.isfinite(self.strong_convexity) and self.strong_convexity > 0):
-                raise ValueError(
-                    "strong convexity constant must be positive, got %r" % (self.strong_convexity,)
-                )
+            object.__setattr__(
+                self, "strong_convexity", real_in("strong convexity constant", self.strong_convexity)
+            )
             if self.lipschitz is not None and self.strong_convexity > self.lipschitz:
                 raise ValueError(
                     "strong convexity %g exceeds gradient continuity %g"
@@ -122,9 +120,7 @@ def zakharov_problem(dimension: int) -> "Problem":
     with a unique minimum at the origin, but no global curvature constants,
     so both are left absent.
     """
-    if not (isinstance(dimension, (int, np.integer)) and dimension >= 1):
-        raise ValueError("dimension must be a positive integer, got %r" % (dimension,))
-    n = int(dimension)
+    n = positive_int("dimension", dimension)
     w = 0.5 * np.arange(1, n + 1, dtype=float)
 
     def value(x):
@@ -147,8 +143,7 @@ def zakharov_problem(dimension: int) -> "Problem":
 
 def finite_difference_gradient(value: Callable[[np.ndarray], float], step: float = _FD_STEP):
     """Central-difference gradient oracle built from a value oracle."""
-    if not (step > 0 and math.isfinite(step)):
-        raise ValueError("finite-difference step must be positive, got %r" % (step,))
+    step = real_in("finite-difference step", step)
 
     def gradient(x):
         x = np.asarray(x, dtype=float)

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._checks import real_in
+from ._checks import positive_int, real_in
 from .caputo import CaputoChannel
 from .flows import (
     BoundReport,
@@ -99,8 +99,7 @@ class SimOptions:
             )
         real_in("eps_x", self.eps_x)
         real_in("eps_g", self.eps_g)
-        if not (isinstance(self.record_stride, (int, np.integer)) and self.record_stride >= 1):
-            raise ValueError("record stride must be a positive integer, got %r" % (self.record_stride,))
+        positive_int("record stride", self.record_stride)
 
 
 @dataclass(frozen=True)

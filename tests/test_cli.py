@@ -346,6 +346,16 @@ class TestRunErrors:
         assert "rho" in err
         assert not out_dir.exists()
 
+    def test_boolean_dimension(self, tmp_path, capsys):
+        # JSON true is not the integer 1
+        out_dir = tmp_path / "out"
+        cfg = identity_run_config(str(out_dir), initial=[3.0])
+        cfg["problem"] = {"name": "zakharov", "dimension": True}
+        rc, _, err = invoke(capsys, ["run", "--config", write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert "dimension" in err
+        assert not out_dir.exists()
+
     def test_unknown_problem_name(self, tmp_path, capsys):
         cfg = identity_run_config(str(tmp_path / "out"))
         cfg["problem"] = {"name": "rosenbrock"}

@@ -128,7 +128,7 @@ class TestZakharov:
     def test_gradient_consistency(self, n):
         fd_check(zakharov_problem(n), np.random.default_rng(n), count=100 if n <= 2 else 40)
 
-    @pytest.mark.parametrize("bad", [0, -3, 1.5])
+    @pytest.mark.parametrize("bad", [0, -3, 1.5, True])
     def test_rejects_bad_dimension(self, bad):
         with pytest.raises(ValueError):
             zakharov_problem(bad)
@@ -168,8 +168,14 @@ class TestCustom:
             )
 
     def test_fd_step_validation(self):
-        with pytest.raises(ValueError):
-            finite_difference_gradient(lambda x: 0.0, step=0.0)
+        for bad in (0.0, math.inf, True, "a"):
+            with pytest.raises(ValueError):
+                finite_difference_gradient(lambda x: 0.0, step=bad)
+
+    def test_rejects_bad_constants(self):
+        for bad in (True, "a", -1.0):
+            with pytest.raises(ValueError):
+                custom_problem(1, value=lambda x: float(x[0] ** 2), lipschitz=bad)
 
 
 class TestProblemRecord:
@@ -181,8 +187,14 @@ class TestProblemRecord:
     def test_field_validation(self):
         ident = lambda x: 0.0
         grad0 = lambda x: np.zeros(2)
-        with pytest.raises(ValueError):
-            Problem(dimension=0, value=ident, gradient=grad0)
+        for bad in (0, True):
+            with pytest.raises(ValueError):
+                Problem(dimension=bad, value=ident, gradient=grad0)
+        for bad in (True, "a", math.nan):
+            with pytest.raises(ValueError):
+                Problem(dimension=2, value=ident, gradient=grad0, lipschitz=bad)
+            with pytest.raises(ValueError):
+                Problem(dimension=2, value=ident, gradient=grad0, strong_convexity=bad)
         with pytest.raises(TypeError):
             Problem(dimension=2, value=None, gradient=grad0)
         with pytest.raises(ValueError):

@@ -65,6 +65,7 @@ class TestSimOptions:
             {"eps_g": -1.0},
             {"record_stride": 0},
             {"record_stride": 1.5},
+            {"record_stride": True},
         ],
     )
     def test_rejects(self, kw):
