@@ -11,9 +11,7 @@ from .caputo import CaputoChannel, InconsistentStateError, solve_caputo
 from .flows import (
     BoundReport,
     ConditionNotMetError,
-    FlowDerivative,
     FlowLaw,
-    FlowState,
     FlowVariant,
     InsufficientConstantsError,
     SingularityError,
@@ -48,9 +46,7 @@ __all__ = [
     "CaputoChannel",
     "ConditionNotMetError",
     "DivergenceError",
-    "FlowDerivative",
     "FlowLaw",
-    "FlowState",
     "FlowVariant",
     "InconsistentStateError",
     "InsufficientConstantsError",

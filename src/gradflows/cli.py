@@ -17,10 +17,12 @@ import re
 import sys
 
 from .flows import (
+    _LAW_KEYS,
     ConditionNotMetError,
     FlowLaw,
     InsufficientConstantsError,
     SingularityError,
+    _law_from,
     bound_finite_time,
     bound_fixed_time_fractional,
     bound_fixed_time_second_order,
@@ -46,6 +48,19 @@ class ConfigError(ValueError):
     """A config file is unreadable, malformed, or fails validation."""
 
 
+def _section(obj, what: str, allowed, required=()) -> dict:
+    """`obj` when it is a JSON object with only `allowed` keys and every `required` one."""
+    if not isinstance(obj, dict):
+        raise ConfigError("%s must be a JSON object" % what)
+    unknown = obj.keys() - allowed
+    if unknown:
+        raise ConfigError("unknown keys in %s: %s" % (what, ", ".join(sorted(unknown))))
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigError("%s needs %s" % (what, " and ".join(missing)))
+    return obj
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r") as fh:
@@ -56,68 +71,46 @@ def _load_config(path: str) -> dict:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError("%s is not valid JSON: %s" % (path, exc))
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(cfg) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError("unknown config keys: %s" % ", ".join(sorted(unknown)))
-    if cfg.get("schema_version") != SCHEMA_VERSION:
+    _section(cfg, "config", _TOP_LEVEL_KEYS)
+    version = cfg.get("schema_version")
+    # the int itself: JSON true and 1.0 compare equal to 1
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(
-            "config must declare schema_version %d, got %r"
-            % (SCHEMA_VERSION, cfg.get("schema_version"))
+            "config must declare schema_version %d, got %r" % (SCHEMA_VERSION, version)
         )
     return cfg
 
 
 def _build_problem(cfg: dict):
-    section = cfg.get("problem")
-    if not isinstance(section, dict) or "name" not in section:
-        raise ConfigError("config needs a problem section with a name")
+    section = _section(
+        cfg.get("problem"), "problem section", {"name", "matrix", "dimension"}, ("name",)
+    )
     name = section["name"]
+    if name == "quadratic":
+        param, factory = "matrix", quadratic_problem
+    elif name == "zakharov":
+        param, factory = "dimension", zakharov_problem
+    else:
+        raise ConfigError("unknown problem name %r (choose quadratic or zakharov)" % (name,))
+    _section(section, "%s problem" % name, {"name", param}, (param,))
     try:
-        if name == "quadratic":
-            if "matrix" not in section:
-                raise ConfigError("quadratic problem needs a matrix")
-            return quadratic_problem(section["matrix"])
-        if name == "zakharov":
-            if "dimension" not in section:
-                raise ConfigError("zakharov problem needs a dimension")
-            return zakharov_problem(section["dimension"])
+        return factory(section[param])
     except (ValueError, TypeError) as exc:
         raise ConfigError("invalid problem parameters: %s" % exc)
-    raise ConfigError("unknown problem name %r (choose quadratic or zakharov)" % (name,))
 
 
 def _build_flow(cfg: dict) -> FlowLaw:
-    section = cfg.get("flow")
-    if not isinstance(section, dict):
-        raise ConfigError("config needs a flow section")
-    kwargs = dict(section)
-    variant = kwargs.pop("variant", None)
-    if variant is None:
-        raise ConfigError("flow section needs a variant")
-    if "lambda" in kwargs:
-        kwargs["lam"] = kwargs.pop("lambda")
-    allowed = {"rho", "alpha", "lam", "beta", "delta"}
-    unknown = set(kwargs) - allowed
-    if unknown:
-        raise ConfigError("unknown flow keys: %s" % ", ".join(sorted(unknown)))
-    if "rho" not in kwargs or "alpha" not in kwargs:
-        raise ConfigError("flow section needs rho and alpha")
+    section = _section(cfg.get("flow"), "flow section", _LAW_KEYS, ("variant", "rho", "alpha"))
     try:
-        return FlowLaw(variant=variant, **kwargs)
+        return _law_from(section)
     except (ValueError, TypeError) as exc:
         raise ConfigError("invalid flow law: %s" % exc)
 
 
 def _build_sim(cfg: dict, args) -> SimOptions:
-    section = cfg.get("sim", {})
-    if not isinstance(section, dict):
-        raise ConfigError("sim section must be an object")
-    allowed = {"step", "horizon", "eps_x", "eps_g", "record_stride"}
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError("unknown sim keys: %s" % ", ".join(sorted(unknown)))
+    section = _section(
+        cfg.get("sim", {}), "sim section", {"step", "horizon", "eps_x", "eps_g", "record_stride"}
+    )
     kwargs = dict(section)
     if getattr(args, "step", None) is not None:
         kwargs["step"] = args.step
@@ -130,18 +123,14 @@ def _build_sim(cfg: dict, args) -> SimOptions:
 
 
 def _output_paths(cfg: dict, args, default_prefix: str):
-    section = cfg.get("output", {})
-    if not isinstance(section, dict):
-        raise ConfigError("output section must be an object")
-    unknown = set(section) - {"directory", "prefix"}
-    if unknown:
-        raise ConfigError("unknown output keys: %s" % ", ".join(sorted(unknown)))
+    section = _section(cfg.get("output", {}), "output section", {"directory", "prefix"})
     directory = section.get("directory", ".")
     if getattr(args, "out", None) is not None:
         directory = args.out
     prefix = section.get("prefix", default_prefix)
-    if not isinstance(prefix, str) or not prefix:
-        raise ConfigError("output prefix must be a non-empty string")
+    for key, value in (("directory", directory), ("prefix", prefix)):
+        if not isinstance(value, str) or not value:
+            raise ConfigError("output %s must be a non-empty string" % key)
     return directory, prefix
 
 
@@ -277,16 +266,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-_KIND_ALIASES = {"standard": "standard", "kernel": "kernel"}
-
-
-def _normalize_kind(raw: str) -> str:
+def _fold_kind(raw: str) -> str:
+    """A zero kind as typed, with case and a `form` suffix folded away."""
     key = raw.strip().lower()
-    if key.endswith("form"):
-        key = key[: -len("form")]
-    if key not in _KIND_ALIASES:
-        raise ValueError("unknown zero kind %r (choose standard or kernel)" % (raw,))
-    return _KIND_ALIASES[key]
+    return key[: -len("form")] if key.endswith("form") else key
 
 
 def cmd_ml(args) -> int:
@@ -295,7 +278,7 @@ def cmd_ml(args) -> int:
         print("%.12g" % value)
         return 0
     if args.ml_command == "zero":
-        query = ZeroQuery(alpha=args.alpha, rho=args.rho, kind=_normalize_kind(args.kind))
+        query = ZeroQuery(alpha=args.alpha, rho=args.rho, kind=_fold_kind(args.kind))
         zero = ml_first_positive_zero(query, tol=args.tol)
         print("%.9g" % zero)
         return 0

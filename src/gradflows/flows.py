@@ -31,8 +31,6 @@ from .special import ZeroQuery, ml_first_positive_zero
 __all__ = [
     "FlowVariant",
     "FlowLaw",
-    "FlowState",
-    "FlowDerivative",
     "BoundReport",
     "SingularityError",
     "ConditionNotMetError",
@@ -108,32 +106,35 @@ class FlowLaw:
         return self.variant is not FlowVariant.FINITE_TIME
 
 
-@dataclass
-class FlowState:
-    """Instantaneous state of a flow: decision vector plus optional gain."""
-
-    x: np.ndarray
-    theta: Optional[float] = None
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1 or len(x) == 0:
-            raise ValueError("state vector must be one-dimensional and nonempty")
-        self.x = x
-        if self.theta is not None:
-            self.theta = float(self.theta)
+# the keys a law mapping may carry: FlowLaw's fields, and `lambda` for `lam`
+_LAW_KEYS = frozenset(f.name for f in dataclasses.fields(FlowLaw)) | {"lambda"}
 
 
-@dataclass(frozen=True)
-class FlowDerivative:
-    """Right-hand side returned by vector_field.
+def _law_from(spec, base: Optional[FlowLaw] = None) -> FlowLaw:
+    """The FlowLaw that a mapping of law fields describes, over `base` if given.
 
-    For the fractional variant `dtheta` is the Caputo right-hand side, to be
-    fed to the memory channel rather than integrated directly.
+    Configs and sweep variations spell `lam` as `lambda`; either is read.
+    Any other key raises ValueError.
     """
+    fields = dict(spec)
+    unknown = fields.keys() - _LAW_KEYS
+    if unknown:
+        raise ValueError("unknown flow law keys: %s" % ", ".join(sorted(unknown)))
+    if "lambda" in fields:
+        fields["lam"] = fields.pop("lambda")
+    if base is None:
+        return FlowLaw(**fields)
+    return dataclasses.replace(base, **fields) if fields else base
 
-    dx: np.ndarray
-    dtheta: Optional[float] = None
+
+def _state(problem: Problem, x) -> np.ndarray:
+    """x as a float vector of the problem's dimension, else ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (problem.dimension,):
+        raise ValueError(
+            "state shape %s does not match problem dimension %d" % (x.shape, problem.dimension)
+        )
+    return x
 
 
 def _gradient(problem: Problem, x: np.ndarray):
@@ -156,8 +157,7 @@ def _rhs(law: FlowLaw, g: np.ndarray, norm_g: float, theta: Optional[float]):
 
     The one implementation of the field arithmetic: `vector_field` wraps it,
     and the integrator calls it directly where it already holds the gradient
-    at the point.  `dtheta` is as in FlowDerivative, None for the finite-time
-    law.
+    at the point.  `dtheta` is as in `vector_field`.
     """
     delta = law.delta
     if norm_g == 0.0 and delta == 0.0:
@@ -175,22 +175,20 @@ def _rhs(law: FlowLaw, g: np.ndarray, norm_g: float, theta: Optional[float]):
     return dx, drive
 
 
-def vector_field(law: FlowLaw, problem: Problem, state: FlowState) -> FlowDerivative:
-    """Evaluate the chosen law's right-hand side at a state.
+def vector_field(law: FlowLaw, problem: Problem, x, theta: Optional[float] = None):
+    """The chosen law's right-hand side (dx, dtheta) at the state (x, theta).
 
-    Raises SingularityError when the gradient vanishes while delta = 0; the
-    caller is expected to have detected convergence before that point.
+    `theta` is the auxiliary gain, which the two fixed-time laws need.
+    `dtheta` is None for the finite-time law; for the fractional law it is
+    the Caputo right-hand side, to be fed to the memory channel rather than
+    integrated directly.  Raises SingularityError when the gradient vanishes
+    while delta = 0; the caller is expected to have detected convergence
+    before that point.
     """
-    x = np.asarray(state.x, dtype=float)
-    if x.shape != (problem.dimension,):
-        raise ValueError(
-            "state dimension %s does not match problem dimension %d"
-            % (x.shape, problem.dimension)
-        )
-    if law.uses_gain and state.theta is None:
-        raise ValueError("%s needs the auxiliary gain in the state" % law.variant.value)
-    dx, dtheta = _rhs(law, *_gradient(problem, x), state.theta)
-    return FlowDerivative(dx=dx, dtheta=dtheta)
+    x = _state(problem, x)
+    if theta is None and law.uses_gain:
+        raise ValueError("%s needs the auxiliary gain theta" % law.variant.value)
+    return _rhs(law, *_gradient(problem, x), theta)
 
 
 # ---------------------------------------------------------------------------

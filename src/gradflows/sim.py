@@ -12,20 +12,21 @@ resolved.  Substeps refine only the decision vector's clock; the fractional
 memory stays on the coarse grid (its own right-hand side is smooth through
 the terminal zone).
 
-The step passes plain (dx, dtheta) tuples.  The field at a state it steps
-from (an accepted state or a substep's start) comes from the public
-`vector_field`.  The field at the predicted point, a stage inside the gain
-rule, is finished on arrays with `flows._rhs`, the arithmetic
-`vector_field` wraps, and so is the field at an accepted state whose
-gradient the `eps_g` test already fetched.  Every law makes 2 gradient
-calls per unguarded step, one at the predicted point and one at the
-accepted state.
+Fields are plain (dx, dtheta) tuples.  The field at a state the step
+starts from (an accepted state or a substep's start) is a direct call of
+the public `vector_field`, which returns that tuple.  The field at the
+predicted point, a stage inside the gain rule, is finished on arrays with
+`flows._rhs`, the arithmetic `vector_field` wraps, and so is the field at
+an accepted state whose gradient the `eps_g` test already fetched.  Every
+law makes 2 gradient calls per unguarded step, one at the predicted point
+and one at the accepted state.  `integrate`, `applicable_bound` and
+`vector_field` check a state's shape with one helper, `flows._state`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,11 +37,13 @@ from .caputo import CaputoChannel
 from .flows import (
     BoundReport,
     FlowLaw,
-    FlowState,
     FlowVariant,
+    InsufficientConstantsError,
     _drive,
     _gradient,
+    _law_from,
     _rhs,
+    _state,
     bound_finite_time,
     bound_fixed_time_fractional,
     bound_fixed_time_second_order,
@@ -167,18 +170,12 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
     """
     if opts is None:
         opts = SimOptions()
-    x = np.array(x0, dtype=float)
-    if x.shape != (problem.dimension,):
-        raise ValueError(
-            "initial state shape %s does not match problem dimension %d"
-            % (x.shape, problem.dimension)
-        )
+    x = _state(problem, x0)
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
 
     def field_at(x, theta):
-        d = vector_field(law, problem, FlowState(x=x, theta=theta))
-        return d.dx, d.dtheta
+        return vector_field(law, problem, x, theta)
 
     # gain rules: each evaluates the gradient at the predicted point, a stage
     # of the scheme rather than a state, and returns the field's dx there and
@@ -332,8 +329,7 @@ def applicable_bound(law: FlowLaw, problem: Problem, x0) -> BoundReport:
     Raises InsufficientConstantsError (missing curvature constants or
     minimizer), ConditionNotMetError, or ZeroSearchError as appropriate.
     """
-    from .flows import InsufficientConstantsError
-
+    x0 = _state(problem, x0)
     L = problem.lipschitz
     mu = problem.strong_convexity
     if L is None:
@@ -343,7 +339,7 @@ def applicable_bound(law: FlowLaw, problem: Problem, x0) -> BoundReport:
             raise InsufficientConstantsError(
                 "finite-time bound needs the minimizer to measure the initial distance"
             )
-        d = _norm(np.asarray(x0, dtype=float) - problem.minimizer)
+        d = _norm(x0 - problem.minimizer)
         return bound_finite_time(L, law.rho, law.alpha, d, strong_convexity=mu)
     if mu is None:
         raise InsufficientConstantsError("problem carries no strong-convexity constant")
@@ -362,12 +358,14 @@ class SweepEntry:
     error: Optional[str] = None
 
 
-_LAW_KEYS = {"variant", "rho", "alpha", "lam", "lambda", "beta", "delta"}
-
-
 def _format_override(value) -> str:
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return ",".join("%g" % v for v in np.asarray(value, dtype=float))
+    # label text for any value, so that a malformed one fails in its own run
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return ",".join(
+            "%g" % v if isinstance(v, numbers.Real) else _format_override(v) for v in value
+        )
     if isinstance(value, float):
         return "%g" % value
     return str(value)
@@ -378,13 +376,18 @@ def sweep(law: FlowLaw, problem: Problem, variations, opts: Optional[SimOptions]
 
     Each variation is a mapping that may override law parameters
     (variant/rho/alpha/lambda/beta/delta), supply an initial state under
-    'x0', and name itself under 'label'.  Failures are captured in the
-    entry's error slot without aborting the remaining runs; bounds are
-    attached when the problem's constants allow one.
+    'x0', and name itself under 'label'.  A label that is not a string
+    raises ValueError before any run.  Failures are captured in the entry's
+    error slot without aborting the remaining runs; bounds are attached when
+    the problem's constants allow one.
     """
+    specs = [dict(spec) for spec in variations]
+    for spec in specs:
+        label = spec.get("label")
+        if label is not None and not isinstance(label, str):
+            raise ValueError("a sweep label must be a string, got %r" % (label,))
     entries = []
-    for i, spec in enumerate(variations):
-        spec = dict(spec)
+    for i, spec in enumerate(specs):
         label = spec.pop("label", None)
         has_own_x0 = "x0" in spec
         run_x0 = spec.pop("x0", x0)
@@ -394,13 +397,7 @@ def sweep(law: FlowLaw, problem: Problem, variations, opts: Optional[SimOptions]
                 parts.append("x0=%s" % _format_override(run_x0))
             label = "_".join(parts) if parts else "run_%d" % i
         try:
-            unknown = set(spec) - _LAW_KEYS
-            if unknown:
-                raise ValueError("unknown variation keys: %s" % ", ".join(sorted(unknown)))
-            overrides = dict(spec)
-            if "lambda" in overrides:
-                overrides["lam"] = overrides.pop("lambda")
-            run_law = dataclasses.replace(law, **overrides) if overrides else law
+            run_law = _law_from(spec, law)
             if run_x0 is None:
                 raise ValueError("variation provides no initial state and no default given")
             traj = integrate(run_law, problem, run_x0, opts)

@@ -349,8 +349,12 @@ class ZeroQuery:
     kind: ZeroKind = ZeroKind.STANDARD_FORM
 
     def __post_init__(self):
-        if isinstance(self.kind, str):
+        try:
             object.__setattr__(self, "kind", ZeroKind(self.kind))
+        except ValueError:
+            raise ValueError(
+                "unknown zero kind %r (choose standard or kernel)" % (self.kind,)
+            ) from None
         # zeros are guaranteed to exist only on this range
         object.__setattr__(self, "alpha", real_in("alpha", self.alpha, 1.0, 2.0))
         object.__setattr__(self, "rho", real_in("rho", self.rho))

@@ -387,6 +387,44 @@ class TestRunErrors:
         assert rc == 3
         assert "simulation failed" in err
 
+    # a typo, and the zakharov parameter, which a quadratic does not take
+    @pytest.mark.parametrize("key", ["matrx", "dimension"])
+    def test_unknown_problem_key(self, tmp_path, capsys, key):
+        out_dir = tmp_path / "out"
+        cfg = identity_run_config(str(out_dir))
+        cfg["problem"][key] = 2
+        rc, _, err = invoke(capsys, ["run", "--config", write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert key in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_schema_version_must_be_the_int_one(self, tmp_path, capsys, version):
+        out_dir = tmp_path / "out"
+        cfg = identity_run_config(str(out_dir), schema_version=version)
+        rc, _, err = invoke(capsys, ["run", "--config", write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert "schema_version" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("directory,flags", [(5, []), ("out", ["--out", ""])])
+    def test_bad_output_directory(self, tmp_path, capsys, monkeypatch, directory, flags):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, identity_run_config(directory))
+        rc, _, err = invoke(capsys, ["run", "--config", path] + flags)
+        assert rc == 2
+        assert "directory" in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_invalid_config_file(self, tmp_path, capsys):
+        # the config the CI runs through the console script to expect exit 2
+        path = os.path.join(ROOT, "tests", "data", "unknown_problem_key.json")
+        out_dir = tmp_path / "out"
+        rc, _, err = invoke(capsys, ["run", "--config", path, "--out", str(out_dir)])
+        assert rc == 2
+        assert "matrx" in err
+        assert not out_dir.exists()
+
     def test_usage_error(self, capsys):
         rc = cli.main(["run"])  # --config is required
         capsys.readouterr()
@@ -396,6 +434,53 @@ class TestRunErrors:
         rc = cli.main(["render"])
         capsys.readouterr()
         assert rc == 2
+
+
+class TestConfigSections:
+    """Each config section is an object that names only its own keys."""
+
+    @pytest.mark.parametrize("section", ["flow", "sim", "output"])
+    def test_non_object_section(self, tmp_path, capsys, section):
+        out_dir = tmp_path / "out"
+        cfg = identity_run_config(str(out_dir))
+        cfg[section] = [1.0]
+        rc, _, err = invoke(capsys, ["run", "--config", write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert section in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("section", ["flow", "sim", "output"])
+    def test_unknown_section_key(self, tmp_path, capsys, section):
+        out_dir = tmp_path / "out"
+        cfg = identity_run_config(str(out_dir))
+        cfg[section]["colour"] = "blue"
+        rc, _, err = invoke(capsys, ["run", "--config", write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert "colour" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key", ["variant", "rho", "alpha"])
+    def test_flow_section_missing_key(self, tmp_path, capsys, key):
+        out_dir = tmp_path / "out"
+        cfg = identity_run_config(str(out_dir))
+        del cfg["flow"][key]
+        rc, _, err = invoke(capsys, ["run", "--config", write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert key in err
+        assert not out_dir.exists()
+
+    def test_unknown_variation_key(self, tmp_path, capsys):
+        # a sweep captures the failure in that run's status and goes on
+        out_dir = tmp_path / "out"
+        cfg = identity_run_config(str(out_dir))
+        del cfg["initial"]
+        cfg["variations"] = [{"colour": "blue", "x0": [3.0, 4.0]}, {"x0": [3.0, 4.0]}]
+        rc, _, _ = invoke(capsys, ["sweep", "--config", write_config(tmp_path, cfg)])
+        assert rc == 0
+        _, rows = read_csv(os.path.join(str(out_dir), "job_summary.csv"))
+        assert rows[0][-1].startswith("error: ")
+        assert "colour" in rows[0][-1]
+        assert rows[1][-1] == "ok"
 
 
 class TestSweepCommand:
@@ -462,6 +547,15 @@ class TestSweepCommand:
         cfg["variations"] = [{"rho": -5.0, "x0": [1.0, 1.0]}, {"alpha": 9.0, "x0": [1.0, 1.0]}]
         rc, _, _ = invoke(capsys, ["sweep", "--config", write_config(tmp_path, cfg)])
         assert rc == 3
+
+    def test_non_string_label(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        cfg = self.sweep_config(str(out_dir))
+        cfg["variations"].append({"label": 5, "x0": [1.0, 1.0]})
+        rc, _, err = invoke(capsys, ["sweep", "--config", write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert "label" in err
+        assert not out_dir.exists()
 
     def test_missing_variations(self, tmp_path, capsys):
         cfg = self.sweep_config(str(tmp_path / "out"))

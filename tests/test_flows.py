@@ -9,9 +9,7 @@ import pytest
 from gradflows.flows import (
     BoundReport,
     ConditionNotMetError,
-    FlowDerivative,
     FlowLaw,
-    FlowState,
     FlowVariant,
     InsufficientConstantsError,
     SingularityError,
@@ -117,46 +115,43 @@ class TestVectorField:
     def test_hand_checked_finite_time(self):
         # rho=10, alpha=2, delta=0: gradient [0,-60], norm 60
         p = quadratic_problem(EX_MATRIX)
-        d = vector_field(law_finite(), p, FlowState(x=[10.0, -10.0]))
-        assert d.dtheta is None
-        assert np.allclose(d.dx, [0.0, 1.0 / 6.0], rtol=0.0, atol=1e-15)
-        assert abs(d.dx[1] - 1.0 / 6.0) < 1e-15
+        dx, dtheta = vector_field(law_finite(), p, [10.0, -10.0])
+        assert dtheta is None
+        assert np.allclose(dx, [0.0, 1.0 / 6.0], rtol=0.0, atol=1e-15)
+        assert abs(dx[1] - 1.0 / 6.0) < 1e-15
 
     def test_gain_of_zero_means_rest(self):
         p = quadratic_problem(EX_MATRIX)
         for law in (law_second(), law_fractional()):
-            d = vector_field(law, p, FlowState(x=[10.0, -10.0], theta=0.0))
-            assert np.array_equal(d.dx, np.zeros(2))
-            assert d.dtheta > 0.0  # the gain immediately starts growing
+            dx, dtheta = vector_field(law, p, [10.0, -10.0], 0.0)
+            assert np.array_equal(dx, np.zeros(2))
+            assert dtheta > 0.0  # the gain immediately starts growing
 
     def test_hand_checked_gain_derivative(self):
         # lam=1, rho=10, alpha=1, |g|=2, theta=3 -> -3 + 20 = 17
         p = quadratic_problem(np.eye(2) * 0.5)  # gradient = x
-        state = FlowState(x=[2.0, 0.0], theta=3.0)
-        d = vector_field(law_second(), p, state)
-        assert abs(d.dtheta - 17.0) < 1e-12
+        _, dtheta = vector_field(law_second(), p, [2.0, 0.0], 3.0)
+        assert abs(dtheta - 17.0) < 1e-12
 
     def test_fractional_drive_ignores_decay(self):
         p = quadratic_problem(np.eye(2) * 0.5)
-        state = FlowState(x=[2.0, 0.0], theta=3.0)
-        with_decay = vector_field(law_fractional(lam=5.0), p, state)
-        without = vector_field(law_fractional(lam=0.0), p, state)
-        assert with_decay.dtheta == without.dtheta == 20.0
+        _, with_decay = vector_field(law_fractional(lam=5.0), p, [2.0, 0.0], 3.0)
+        _, without = vector_field(law_fractional(lam=0.0), p, [2.0, 0.0], 3.0)
+        assert with_decay == without == 20.0
 
     def test_fractional_and_second_order_share_x_equation(self):
         p = quadratic_problem(EX_MATRIX)
-        state = FlowState(x=[3.0, -1.0], theta=0.7)
-        a = vector_field(law_second(), p, state)
-        b = vector_field(law_fractional(), p, state)
-        assert np.array_equal(a.dx, b.dx)
+        a, _ = vector_field(law_second(), p, [3.0, -1.0], 0.7)
+        b, _ = vector_field(law_fractional(), p, [3.0, -1.0], 0.7)
+        assert np.array_equal(a, b)
 
     def test_singularity_at_minimum(self):
         p = quadratic_problem(EX_MATRIX)
         with pytest.raises(SingularityError):
-            vector_field(law_finite(delta=0.0), p, FlowState(x=[0.0, 0.0]))
+            vector_field(law_finite(delta=0.0), p, [0.0, 0.0])
         # regularized: no error, zero motion
-        d = vector_field(law_finite(delta=0.01), p, FlowState(x=[0.0, 0.0]))
-        assert np.array_equal(d.dx, np.zeros(2))
+        dx, _ = vector_field(law_finite(delta=0.01), p, [0.0, 0.0])
+        assert np.array_equal(dx, np.zeros(2))
 
     def test_classical_reduction_at_vanishing_exponent(self):
         # alpha so small that the denominator is exactly 1.0 in floating
@@ -164,18 +159,18 @@ class TestVectorField:
         p = quadratic_problem(EX_MATRIX)
         law = law_finite(alpha=1e-300, delta=0.0)
         x = np.array([3.0, -2.0])
-        d = vector_field(law, p, FlowState(x=x))
-        assert np.array_equal(d.dx, -10.0 * p.gradient(x))
+        dx, _ = vector_field(law, p, x)
+        assert np.array_equal(dx, -10.0 * p.gradient(x))
 
     def test_dimension_mismatch(self):
         p = quadratic_problem(EX_MATRIX)
         with pytest.raises(ValueError):
-            vector_field(law_finite(), p, FlowState(x=[1.0, 2.0, 3.0]))
+            vector_field(law_finite(), p, [1.0, 2.0, 3.0])
 
     def test_missing_gain_state(self):
         p = quadratic_problem(EX_MATRIX)
         with pytest.raises(ValueError):
-            vector_field(law_second(), p, FlowState(x=[1.0, 2.0]))
+            vector_field(law_second(), p, [1.0, 2.0])
 
 
 class TestFiniteTimeBound:

@@ -13,7 +13,6 @@ import pytest
 
 from gradflows.flows import (
     FlowLaw,
-    FlowState,
     InsufficientConstantsError,
     SingularityError,
     bound_fixed_time_second_order,
@@ -263,7 +262,7 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="gradient"):
             integrate(FT1, prob, [1.0, 2.0])
         with pytest.raises(ValueError, match="gradient"):
-            vector_field(FT1, prob, FlowState(x=[1.0, 2.0]))
+            vector_field(FT1, prob, [1.0, 2.0])
 
     def test_gradient_as_list(self):
         # the identity quadratic's gradient 2x, built as a plain list
@@ -378,6 +377,24 @@ class TestSweep:
     def test_empty_variations(self):
         assert sweep(SO, EX, []) == []
 
+    @pytest.mark.parametrize("x0", [[[1.0, 1.0]], ["a", "b"], {"a": 1.0}, np.array(3.0)])
+    def test_malformed_start_fails_its_own_run(self, x0):
+        # the default label is built from the value before the run checks it
+        entries = sweep(
+            SO, EX, [{"x0": x0}, {"x0": [1.0, 1.0]}], SimOptions(step=1e-3, horizon=3.0)
+        )
+        assert entries[0].trajectory is None and entries[0].error
+        assert entries[0].label.startswith("x0=")
+        assert entries[1].error is None
+
+    @pytest.mark.parametrize("label", [5, ["a"]])
+    def test_non_string_label_rejected_before_any_run(self, label):
+        prob, calls = counting_problem([0.0, 0.0])
+        variations = [{"x0": [1.0, 1.0]}, {"label": label, "x0": [1.0, 1.0]}]
+        with pytest.raises(ValueError, match="label"):
+            sweep(SO, prob, variations, SimOptions(step=1e-3, horizon=3.0))
+        assert calls[0] == 0
+
     def test_entry_type(self):
         entries = sweep(SO, EX, [{"x0": [1.0, 1.0]}], SimOptions(step=1e-3, horizon=3.0))
         assert isinstance(entries[0], SweepEntry)
@@ -406,6 +423,13 @@ class TestApplicableBound:
     def test_missing_constants(self):
         with pytest.raises(InsufficientConstantsError):
             applicable_bound(SO, zakharov_problem(2), [1.0, 1.0])
+
+    @pytest.mark.parametrize("law", [FT1, SO], ids=["finite_time", "second_order"])
+    @pytest.mark.parametrize("x0", [[3.0], 3.0, [3.0, 3.0, 3.0], [[3.0, 3.0]]])
+    def test_wrong_shaped_start(self, law, x0):
+        # a start is one state of the problem's dimension, never broadcast
+        with pytest.raises(ValueError, match="dimension"):
+            applicable_bound(law, EX, x0)
 
 
 # ---------------------------------------------------------------------------

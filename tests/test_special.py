@@ -490,6 +490,12 @@ class TestFirstZero:
         with pytest.raises(ValueError):
             ZeroQuery(alpha=1.5, rho=1.0, kind="bogus")
 
+    @pytest.mark.parametrize("kind", ["bogus", "Standard", 5, None])
+    def test_kind_rejects_anything_else(self, kind):
+        # only a ZeroKind or its exact value; the CLI folds case before this
+        with pytest.raises(ValueError, match="zero kind"):
+            ZeroQuery(alpha=1.5, rho=1.0, kind=kind)
+
     def test_kind_accepts_plain_strings(self):
         q = ZeroQuery(alpha=1.5, rho=1.0, kind="kernel")
         assert q.kind is ZeroKind.KERNEL_FORM
