@@ -5,7 +5,8 @@ problem, the flow law, initial conditions, integration options, and output
 paths (documented in the README).  Trajectory CSVs carry 9-significant-digit
 values and are byte-deterministic for identical configs.
 
-Exit codes: 0 success, 2 usage/config/domain error, 3 simulation failure.
+Exit codes: 0 success, 2 usage/config/domain error or an unwritable output
+path, 3 simulation failure.
 """
 
 from __future__ import annotations
@@ -138,7 +139,23 @@ def _fmt(value: float) -> str:
     return "%.9g" % value
 
 
-def _write_trajectory_csv(path: str, traj) -> None:
+def _write_text(directory: str, name: str, text: str) -> str:
+    """Write `text` to the file `name` in `directory`, creating it; returns the path.
+
+    An unwritable path (say, a directory that is an existing file) raises
+    ConfigError naming it, so the command exits with code 2.
+    """
+    path = os.path.join(directory, name)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc))
+    return path
+
+
+def _trajectory_csv(traj) -> str:
     n = traj.states.shape[1]
     lines = ["t," + ",".join("x_%d" % (i + 1) for i in range(n)) + ",theta,V"]
     for i in range(len(traj.times)):
@@ -147,8 +164,7 @@ def _write_trajectory_csv(path: str, traj) -> None:
         cells.append(_fmt(traj.gains[i]) if traj.gains is not None else "")
         cells.append(_fmt(traj.lyapunov[i]) if traj.lyapunov is not None else "")
         lines.append(",".join(cells))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _bound_payload(report) -> dict:
@@ -191,10 +207,7 @@ def cmd_run(args) -> int:
     except (InsufficientConstantsError, ConditionNotMetError, ZeroSearchError) as exc:
         bound_error = str(exc)
 
-    os.makedirs(directory, exist_ok=True)
-    csv_path = os.path.join(directory, prefix + ".csv")
-    report_path = os.path.join(directory, prefix + "_report.json")
-    _write_trajectory_csv(csv_path, traj)
+    csv_path = _write_text(directory, prefix + ".csv", _trajectory_csv(traj))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg,
@@ -206,9 +219,8 @@ def cmd_run(args) -> int:
         "bound": bound_payload,
         "bound_error": bound_error,
     }
-    with open(report_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    report = json.dumps(payload, indent=2) + "\n"
+    report_path = _write_text(directory, prefix + "_report.json", report)
 
     if traj.convergence_time is not None:
         line = "converged at t=%s" % _fmt(traj.convergence_time)
@@ -233,15 +245,11 @@ def cmd_sweep(args) -> int:
 
     entries = sweep(law, problem, variations, opts, x0=cfg.get("initial"))
 
-    os.makedirs(directory, exist_ok=True)
-    summary_path = os.path.join(directory, prefix + "_summary.csv")
     summary_lines = ["label,convergence_time,bound,status"]
     for i, entry in enumerate(entries):
         if entry.trajectory is not None:
-            run_path = os.path.join(
-                directory, "%s_%02d_%s.csv" % (prefix, i, _sanitize(entry.label))
-            )
-            _write_trajectory_csv(run_path, entry.trajectory)
+            name = "%s_%02d_%s.csv" % (prefix, i, _sanitize(entry.label))
+            _write_text(directory, name, _trajectory_csv(entry.trajectory))
         if entry.error is not None:
             status = "error: " + entry.error.replace("\n", " ")
         elif entry.trajectory.convergence_time is None:
@@ -257,8 +265,7 @@ def cmd_sweep(args) -> int:
         ]
         summary_lines.append(",".join(cells))
         print("%-24s %-12s %s" % (entry.label, _fmt(ct) if ct is not None else "-", status))
-    with open(summary_path, "w", newline="") as fh:
-        fh.write("\n".join(summary_lines) + "\n")
+    summary_path = _write_text(directory, prefix + "_summary.csv", "\n".join(summary_lines) + "\n")
     print("wrote %s" % summary_path)
 
     if entries and all(e.error is not None for e in entries):
@@ -292,53 +299,40 @@ def cmd_ml(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    L = args.lipschitz
-    mu = args.strong_convexity
-    rows = []
-
-    def attempt(fn, rule):
-        try:
-            report = fn()
-            rows.append((report.rule, report, None))
-        except (ValueError, ZeroSearchError) as exc:
-            rows.append((rule, None, str(exc)))
-
-    if args.distance is None:
-        rows.append(("finite_time_alpha2", None, "needs --distance"))
-        rows.append(("finite_time_general", None, "needs --distance"))
-    else:
-        attempt(
-            lambda: bound_finite_time(L, args.rho, 2.0, args.distance), "finite_time_alpha2"
-        )
-        if args.alpha != 2.0:
-            attempt(
-                lambda: bound_finite_time(
-                    L, args.rho, args.alpha, args.distance, strong_convexity=mu
-                ),
-                "finite_time_general",
-            )
-    if mu is None:
-        rows.append(("fixed_time_second_order", None, "needs --strong-convexity"))
-    else:
-        attempt(
-            lambda: bound_fixed_time_second_order(
-                L, mu, args.rho, args.alpha, lam=args.lam or 0.0
-            ),
+    L, mu, rho, alpha, d, beta = (
+        args.lipschitz, args.strong_convexity, args.rho, args.alpha, args.distance, args.beta
+    )
+    # (rule, the flags it still needs, its bound) in print order; at alpha = 2
+    # the general finite-time rule is the alpha-2 rule and has no row of its own
+    no_distance = "--distance" if d is None else None
+    rules = (
+        ("finite_time_alpha2", no_distance, lambda: bound_finite_time(L, rho, 2.0, d)),
+        (
+            "finite_time_general",
+            no_distance,
+            None if alpha == 2.0 else lambda: bound_finite_time(L, rho, alpha, d, mu),
+        ),
+        (
             "fixed_time_second_order",
-        )
-    if mu is None or args.beta is None:
-        rows.append(
-            ("fixed_time_fractional", None, "needs --strong-convexity and --beta")
-        )
-    else:
-        attempt(
-            lambda: bound_fixed_time_fractional(L, mu, args.rho, args.alpha, args.beta),
+            "--strong-convexity" if mu is None else None,
+            lambda: bound_fixed_time_second_order(L, mu, rho, alpha, lam=args.lam or 0.0),
+        ),
+        (
             "fixed_time_fractional",
-        )
-
+            "--strong-convexity and --beta" if mu is None or beta is None else None,
+            lambda: bound_fixed_time_fractional(L, mu, rho, alpha, beta),
+        ),
+    )
     applicable = 0
-    for rule, report, problem_text in rows:
-        if report is not None:
+    for rule, missing, compute in rules:
+        if missing:
+            print("%-24s inapplicable: needs %s" % (rule, missing))
+        elif compute is not None:
+            try:
+                report = compute()
+            except (ValueError, ZeroSearchError) as exc:
+                print("%-24s inapplicable: %s" % (rule, exc))
+                continue
             applicable += 1
             line = "%-24s bound=%s" % (rule, _fmt(report.bound))
             if report.extras:
@@ -346,8 +340,6 @@ def cmd_bounds(args) -> int:
                     "%s=%s" % (k, _fmt(v)) for k, v in sorted(report.extras.items())
                 )
             print(line)
-        else:
-            print("%-24s inapplicable: %s" % (rule, problem_text))
     if applicable == 0:
         print("no applicable convergence-time guarantee for these constants", file=sys.stderr)
         return 2

@@ -62,6 +62,30 @@ class FlowVariant(Enum):
     FIXED_TIME_FRACTIONAL = "fixed_time_fractional"
 
 
+# each constant's interval as real_in's (low, high, low_closed, high_closed),
+# under the name that messages and BoundReport.inputs use
+_INTERVALS = {
+    "lipschitz": (0.0, math.inf, False, False),
+    "strong_convexity": (0.0, math.inf, False, False),
+    "rho": (0.0, math.inf, False, False),
+    "alpha": (0.0, 2.0, False, True),
+    "lambda": (0.0, math.inf, True, False),
+    "delta": (0.0, math.inf, True, False),
+    "beta": (0.0, 1.0, False, False),
+    "initial_distance": (0.0, math.inf, True, False),
+}
+
+
+def _constant(name: str, value) -> float:
+    """`value` as a float when it lies in the interval of the constant `name`."""
+    return real_in(name, value, *_INTERVALS[name])
+
+
+def _constants(names, *values) -> dict:
+    """{name: value as a float} in `names` order, each checked against its interval."""
+    return {name: real_in(name, value, *_INTERVALS[name]) for name, value in zip(names, values)}
+
+
 @dataclass(frozen=True)
 class FlowLaw:
     """Parameters of one descent design.
@@ -86,14 +110,13 @@ class FlowLaw:
             object.__setattr__(self, "variant", FlowVariant(self.variant))
         elif not isinstance(self.variant, FlowVariant):
             raise ValueError("unknown flow variant %r" % (self.variant,))
-        object.__setattr__(self, "rho", real_in("rho", self.rho))
-        object.__setattr__(self, "alpha", real_in("alpha", self.alpha, 0.0, 2.0, high_closed=True))
-        object.__setattr__(self, "lam", real_in("lambda", self.lam, low_closed=True))
-        object.__setattr__(self, "delta", real_in("delta", self.delta, low_closed=True))
+        checked = (("rho", "rho"), ("alpha", "alpha"), ("lambda", "lam"), ("delta", "delta"))
+        for name, attr in checked:
+            object.__setattr__(self, attr, _constant(name, getattr(self, attr)))
         if self.variant is FlowVariant.FIXED_TIME_FRACTIONAL:
             if self.beta is None:
                 raise ValueError("the fractional variant needs a fractional order beta")
-            object.__setattr__(self, "beta", real_in("fractional order beta", self.beta, 0.0, 1.0))
+            object.__setattr__(self, "beta", _constant("beta", self.beta))
         elif self.beta is not None:
             raise ValueError(
                 "beta only applies to the fractional variant, got beta=%r for %s"
@@ -219,6 +242,29 @@ class BoundReport:
         return dataclasses.replace(self, observed=float(t))
 
 
+def _in_range(quantity: str, compute, zero_ok: bool = False) -> float:
+    """`compute()` when it is a finite positive float, or zero if `zero_ok`.
+
+    Otherwise the constants are valid but the bound's arithmetic leaves
+    double range, and ConditionNotMetError names `quantity`.
+    """
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if 0.0 < value < math.inf or zero_ok and value == 0.0:
+        return value
+    raise ConditionNotMetError("%s = %g leaves the double range" % (quantity, value))
+
+
+def _drive_coefficient(lipschitz: float, mu: float, rho: float, alpha: float) -> float:
+    """The fixed-time bounds' coefficient c = 4 rho mu^2 / (alpha L)."""
+    return _in_range(
+        "the drive coefficient 4*rho*mu^2/(alpha*L)",
+        lambda: 4.0 * rho * mu * mu / (alpha * lipschitz),
+    )
+
+
 def bound_finite_time(
     lipschitz: float,
     rho: float,
@@ -234,39 +280,25 @@ def bound_finite_time(
     with mu the strong-convexity constant.  Both grow with the initial
     distance d — the guarantee is finite-time, not fixed-time.
     """
-    lipschitz = real_in("lipschitz", lipschitz)
-    rho = real_in("rho", rho)
-    alpha = real_in("alpha", alpha, 0.0, 2.0, high_closed=True)
-    d = real_in("initial_distance", initial_distance, low_closed=True)
+    inputs = _constants(
+        ("lipschitz", "rho", "alpha", "initial_distance"), lipschitz, rho, alpha, initial_distance
+    )
+    L, rho, alpha, d = inputs.values()
     if alpha == 2.0:
-        inputs = {
-            "lipschitz": lipschitz,
-            "rho": rho,
-            "alpha": alpha,
-            "initial_distance": d,
-        }
-        return BoundReport(
-            rule="finite_time_alpha2",
-            bound=lipschitz * d * d / (2.0 * rho),
-            inputs=inputs,
-        )
+        bound = _in_range("the bound L*d^2/(2*rho)", lambda: L * d * d / (2.0 * rho), d == 0.0)
+        return BoundReport(rule="finite_time_alpha2", bound=bound, inputs=inputs)
     if strong_convexity is None:
         raise InsufficientConstantsError(
             "alpha=%g < 2 needs the strong-convexity constant" % alpha
         )
-    mu = real_in("strong_convexity", strong_convexity)
-    inputs = {
-        "lipschitz": lipschitz,
-        "strong_convexity": mu,
-        "rho": rho,
-        "alpha": alpha,
-        "initial_distance": d,
-    }
-    return BoundReport(
-        rule="finite_time_general",
-        bound=lipschitz * d ** alpha / (rho * mu ** (2.0 - alpha) * alpha),
-        inputs=inputs,
+    mu = _constant("strong_convexity", strong_convexity)
+    # the same order as the other rules' inputs: strong convexity second
+    inputs = {"lipschitz": L, "strong_convexity": mu, **inputs}
+    scale = _in_range("rho*mu^(2-alpha)*alpha", lambda: rho * mu ** (2.0 - alpha) * alpha)
+    bound = _in_range(
+        "the bound L*d^alpha/(rho*mu^(2-alpha)*alpha)", lambda: L * d ** alpha / scale, d == 0.0
     )
+    return BoundReport(rule="finite_time_general", bound=bound, inputs=inputs)
 
 
 def bound_fixed_time_second_order(
@@ -285,37 +317,29 @@ def bound_fixed_time_second_order(
     extras['alpha2_variant_bound'] with the general formula kept
     authoritative.
     """
-    lipschitz = real_in("lipschitz", lipschitz)
-    mu = real_in("strong_convexity", strong_convexity)
-    rho = real_in("rho", rho)
-    alpha = real_in("alpha", alpha, 0.0, 2.0, high_closed=True)
-    lam = real_in("lambda", lam, low_closed=True)
-    gate = 8.0 * rho * mu * mu / (alpha * lipschitz)
+    inputs = _constants(
+        ("lipschitz", "strong_convexity", "rho", "alpha", "lambda"),
+        lipschitz, strong_convexity, rho, alpha, lam,
+    )
+    L, mu, rho, alpha, lam = inputs.values()
+    c = _drive_coefficient(L, mu, rho, alpha)
+    gate = 2.0 * c
     if not lam * lam < gate:
         raise ConditionNotMetError(
             "decay rate fails the validity condition: lambda^2 = %g must stay below "
             "8*rho*mu^2/(alpha*L) = %g" % (lam * lam, gate)
         )
-    radicand = 4.0 * rho * mu * mu / (alpha * lipschitz) - 0.25 * lam * lam
-    inputs = {
-        "lipschitz": lipschitz,
-        "strong_convexity": mu,
-        "rho": rho,
-        "alpha": alpha,
-        "lambda": lam,
-    }
     notes = ()
     extras = {}
     if alpha == 2.0:
-        variant = 4.0 * rho * mu * mu / lipschitz - 0.25 * lam * lam
-        extras["alpha2_variant_bound"] = math.pi / math.sqrt(variant)
+        extras["alpha2_variant_bound"] = math.pi / math.sqrt(2.0 * c - 0.25 * lam * lam)
         notes = (
             "alpha=2 has an alternate stated form with coefficient 4*rho*mu^2/L; "
             "the general-formula value is authoritative",
         )
     return BoundReport(
         rule="fixed_time_second_order",
-        bound=math.pi / math.sqrt(radicand),
+        bound=math.pi / math.sqrt(c - 0.25 * lam * lam),
         inputs=inputs,
         notes=notes,
         extras=extras,
@@ -337,22 +361,15 @@ def bound_fixed_time_fractional(
     drive coefficient c = 4 rho mu^2 / (alpha L).  Search failures from the
     zero finder propagate (raise the horizon for very small c).
     """
-    lipschitz = real_in("lipschitz", lipschitz)
-    mu = real_in("strong_convexity", strong_convexity)
-    rho = real_in("rho", rho)
-    alpha = real_in("alpha", alpha, 0.0, 2.0, high_closed=True)
-    beta = real_in("fractional order beta", beta, 0.0, 1.0)
-    c = 4.0 * rho * mu * mu / (alpha * lipschitz)
+    inputs = _constants(
+        ("lipschitz", "strong_convexity", "rho", "alpha", "beta"),
+        lipschitz, strong_convexity, rho, alpha, beta,
+    )
+    L, mu, rho, alpha, beta = inputs.values()
+    c = _drive_coefficient(L, mu, rho, alpha)
     zero = ml_first_positive_zero(
         ZeroQuery(alpha=beta + 1.0, rho=c), tol=zero_tol, horizon=horizon
     )
-    inputs = {
-        "lipschitz": lipschitz,
-        "strong_convexity": mu,
-        "rho": rho,
-        "alpha": alpha,
-        "beta": beta,
-    }
     return BoundReport(
         rule="fixed_time_fractional",
         bound=zero,

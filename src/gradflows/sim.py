@@ -21,6 +21,11 @@ an accepted state whose gradient the `eps_g` test already fetched.  Every
 law makes 2 gradient calls per unguarded step, one at the predicted point
 and one at the accepted state.  `integrate`, `applicable_bound` and
 `vector_field` check a state's shape with one helper, `flows._state`.
+
+The start is an accepted state like any other.  At each one `integrate`
+runs, in order, detection, the record (every `record_stride`-th state, the
+last and a detected one), the return at detection or the horizon, and only
+then the field there, so no field is evaluated at the last state.
 """
 
 from __future__ import annotations
@@ -210,52 +215,59 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
         trial = guard = frozen
 
     xstar = problem.minimizer
-    theta = 0.0 if law.uses_gain else None
     h = opts.step
     n_steps = int(math.ceil(opts.horizon / h - 1e-9))
-
-    times = [0.0]
-    states = [x.copy()]
-    gains = [0.0] if law.uses_gain else None
-    lyap = None
+    times, states = [], []
+    gains = [] if law.uses_gain else None
+    lyap = [] if xstar is not None else None
+    diagnostics = {"substepped_steps": 0, "max_substeps": 1, "residual_ascent_steps": 0}
     # without a minimizer there is no Lyapunov value, hence no ascent guard
     ascent, v_quarter = -math.inf, math.inf
     if xstar is not None:
         dist = _norm(x - xstar)
         v = dist ** 2
-        lyap = [v]
         v_quarter = _UPTICK_TARGET * _UPTICK_FRACTION * v
 
-    diagnostics = {"substepped_steps": 0, "max_substeps": 1, "residual_ascent_steps": 0}
+    def measured(x_new):
+        # distance to the minimizer, Lyapunov value, and its rise over the
+        # accepted state's value
+        dist_new = _norm(x_new - xstar)
+        v_new = dist_new ** 2
+        return dist_new, v_new, v_new - v
 
-    def build(convergence_time):
-        return Trajectory(
-            times=np.array(times),
-            states=np.array(states),
-            gains=np.array(gains) if gains is not None else None,
-            lyapunov=np.array(lyap) if lyap is not None else None,
-            convergence_time=convergence_time,
-            diagnostics=diagnostics,
-        )
-
-    # detection at an accepted state comes before the field there; without a
-    # minimizer it reads the gradient norm, and the field there reuses it
-    if xstar is not None:
-        done = dist <= opts.eps_x
-    else:
-        g, norm_g = _gradient(problem, x)
-        done = norm_g <= opts.eps_g
-    if done:
-        return build(0.0)
-    d1 = field_at(x, theta) if xstar is not None else _rhs(law, g, norm_g, theta)
-
-    for k in range(1, n_steps + 1):
+    # accepted states k = 0..n_steps, the start included; at each one:
+    # detection, the record, the return, then the field there
+    theta = 0.0 if law.uses_gain else None
+    for k in range(n_steps + 1):
         t = k * h
+        # without a minimizer detection reads the gradient norm, and the field
+        # at this state reuses it
+        if xstar is not None:
+            done = dist <= opts.eps_x
+        else:
+            g, norm_g = _gradient(problem, x)
+            done = norm_g <= opts.eps_g
+        if k % opts.record_stride == 0 or k == n_steps or done:
+            times.append(t)
+            states.append(x)
+            if gains is not None:
+                gains.append(theta)
+            if lyap is not None:
+                lyap.append(v)
+        if done or k == n_steps:
+            return Trajectory(
+                times=np.array(times),
+                states=np.array(states),
+                gains=np.array(gains) if gains is not None else None,
+                lyapunov=np.array(lyap) if lyap is not None else None,
+                convergence_time=t if done else None,
+                diagnostics=diagnostics,
+            )
+        d1 = field_at(x, theta) if xstar is not None else _rhs(law, g, norm_g, theta)
+
         x_new, theta_new, rate_times_step = _heun(field_at, trial, x, theta, d1, h, 1)
         if xstar is not None:
-            dist_new = _norm(x_new - xstar)
-            v_new = dist_new ** 2
-            ascent = v_new - v
+            dist_new, v_new, ascent = measured(x_new)
 
         if rate_times_step > _STIFFNESS_TRIGGER or ascent > v_quarter:
             theta_g, d1_g = theta, d1
@@ -274,15 +286,11 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
                 m = min(m * 4, _MAX_SUBSTEPS)
                 x_new, theta_new, sub_rate = _heun(field_at, guard, x, theta_g, d1_g, h, m)
             if xstar is not None:
-                dist_new = _norm(x_new - xstar)
-                v_new = dist_new ** 2
-                ascent = v_new - v
+                dist_new, v_new, ascent = measured(x_new)
                 while ascent > v_quarter and m < _MAX_SUBSTEPS:
                     m_next = min(m * 4, _MAX_SUBSTEPS)
                     x_try, theta_try, _ = _heun(field_at, guard, x, theta_g, d1_g, h, m_next)
-                    dist_try = _norm(x_try - xstar)
-                    v_try = dist_try ** 2
-                    try_ascent = v_try - v
+                    dist_try, v_try, try_ascent = measured(x_try)
                     improved = try_ascent <= 0.5 * ascent
                     if try_ascent < ascent:
                         x_new, theta_new, m = x_try, theta_try, m_next
@@ -297,30 +305,12 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
         # a NaN norm fails the comparison too
         if not _norm(x_new) <= _NORM_CEILING:
             raise DivergenceError(
-                "state norm left the finite range at t=%g (last valid t=%g)"
-                % (t, times[-1]),
-                last_valid_time=times[-1],
+                "state norm left the finite range at t=%g (last valid t=%g)" % ((k + 1) * h, t),
+                last_valid_time=t,
             )
-
         x, theta = x_new, theta_new
         if xstar is not None:
-            v = v_new
-            done = dist_new <= opts.eps_x
-        else:
-            g, norm_g = _gradient(problem, x)
-            done = norm_g <= opts.eps_g
-        if k % opts.record_stride == 0 or k == n_steps or done:
-            times.append(t)
-            states.append(x)
-            if gains is not None:
-                gains.append(theta)
-            if lyap is not None:
-                lyap.append(v)
-        if done:
-            return build(t)
-        d1 = field_at(x, theta) if xstar is not None else _rhs(law, g, norm_g, theta)
-
-    return build(None)
+            dist, v = dist_new, v_new
 
 
 def applicable_bound(law: FlowLaw, problem: Problem, x0) -> BoundReport:

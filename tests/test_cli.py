@@ -205,6 +205,135 @@ class TestBoundsCommand:
         assert "no applicable" in err
 
 
+# exact stdout and exit code of `bounds` on argument sets covering every row
+# shape: alpha = 2, a missing --distance or --strong-convexity, the decay-rate
+# gate, a zero search past its horizon, and invalid constants
+BOUNDS_CONSTANTS = ["--lipschitz", "4.30", "--strong-convexity", "0.70", "--rho", "10"]
+PINNED_BOUNDS = [
+    (
+        BOUNDS_CONSTANTS + ["--alpha", "1", "--lam", "1", "--beta", "0.2", "--distance", "14.142135623730951"],
+        0,
+        "finite_time_alpha2       bound=43\n"
+        "finite_time_general      bound=8.68731188\n"
+        "fixed_time_second_order  bound=1.51357865\n"
+        "fixed_time_fractional    bound=0.619854242  [drive_coefficient=4.55813953]\n",
+    ),
+    (
+        BOUNDS_CONSTANTS + ["--alpha", "2", "--beta", "0.5", "--distance", "14.14"],
+        0,
+        "finite_time_alpha2       bound=42.987014\n"
+        "fixed_time_second_order  bound=2.08099512  [alpha2_variant_bound=1.47148576]\n"
+        "fixed_time_fractional    bound=0.949995101  [drive_coefficient=2.27906977]\n",
+    ),
+    (
+        BOUNDS_CONSTANTS + ["--alpha", "1", "--beta", "0.2"],
+        0,
+        "finite_time_alpha2       inapplicable: needs --distance\n"
+        "finite_time_general      inapplicable: needs --distance\n"
+        "fixed_time_second_order  bound=1.47148576\n"
+        "fixed_time_fractional    bound=0.619854242  [drive_coefficient=4.55813953]\n",
+    ),
+    (
+        ["--lipschitz", "4.30", "--rho", "10", "--alpha", "1", "--distance", "1"],
+        0,
+        "finite_time_alpha2       bound=0.215\n"
+        "finite_time_general      inapplicable: alpha=1 < 2 needs the strong-convexity constant\n"
+        "fixed_time_second_order  inapplicable: needs --strong-convexity\n"
+        "fixed_time_fractional    inapplicable: needs --strong-convexity and --beta\n",
+    ),
+    (
+        BOUNDS_CONSTANTS + ["--alpha", "1", "--lam", "4", "--distance", "1"],
+        0,
+        "finite_time_alpha2       bound=0.215\n"
+        "finite_time_general      bound=0.614285714\n"
+        "fixed_time_second_order  inapplicable: decay rate fails the validity condition: "
+        "lambda^2 = 16 must stay below 8*rho*mu^2/(alpha*L) = 9.11628\n"
+        "fixed_time_fractional    inapplicable: needs --strong-convexity and --beta\n",
+    ),
+    (
+        ["--lipschitz", "4.30", "--strong-convexity", "0.70", "--rho", "1e-6", "--alpha", "1",
+         "--beta", "0.5", "--distance", "1"],
+        0,
+        "finite_time_alpha2       bound=2150000\n"
+        "finite_time_general      bound=6142857.14\n"
+        "fixed_time_second_order  bound=4653.24656\n"
+        "fixed_time_fractional    inapplicable: no sign change of the standard form before "
+        "t=100 (alpha=1.5, rho=4.55814e-07)\n",
+    ),
+    (
+        ["--lipschitz", "4.30", "--rho", "10", "--alpha", "2"],
+        2,
+        "finite_time_alpha2       inapplicable: needs --distance\n"
+        "finite_time_general      inapplicable: needs --distance\n"
+        "fixed_time_second_order  inapplicable: needs --strong-convexity\n"
+        "fixed_time_fractional    inapplicable: needs --strong-convexity and --beta\n",
+    ),
+    (
+        ["--lipschitz", "4.30", "--strong-convexity", "0.70", "--rho", "-1", "--alpha", "2",
+         "--beta", "0.5", "--distance", "1"],
+        2,
+        "finite_time_alpha2       inapplicable: rho must lie in (0, inf), got -1.0\n"
+        "fixed_time_second_order  inapplicable: rho must lie in (0, inf), got -1.0\n"
+        "fixed_time_fractional    inapplicable: rho must lie in (0, inf), got -1.0\n",
+    ),
+    (
+        BOUNDS_CONSTANTS + ["--alpha", "1", "--distance", "0"],
+        0,
+        "finite_time_alpha2       bound=0\n"
+        "finite_time_general      bound=0\n"
+        "fixed_time_second_order  bound=1.47148576\n"
+        "fixed_time_fractional    inapplicable: needs --strong-convexity and --beta\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args,code,stdout",
+    PINNED_BOUNDS,
+    ids=["all", "alpha2", "no_distance", "no_strong_convexity", "decay_gate", "zero_search",
+         "nothing_applicable_alpha2", "invalid_rho", "zero_distance"],
+)
+def test_bounds_output_pinned(capsys, args, code, stdout):
+    rc, out, err = invoke(capsys, ["bounds"] + args)
+    assert (rc, out) == (code, stdout)
+    assert err == ("" if code == 0 else "no applicable convergence-time guarantee for these constants\n")
+
+
+# constants whose bound arithmetic leaves double range: the bound overflows,
+# the second-order radicand overflows, the drive coefficient underflows, or
+# the finite-time denominator underflows
+OUT_OF_RANGE_BOUNDS = [
+    (["--lipschitz", "1", "--strong-convexity", "1", "--rho", "1e308", "--alpha", "0.1"],
+     {"fixed_time_second_order": "4*rho*mu^2/(alpha*L)"}),
+    (["--lipschitz", "1e300", "--strong-convexity", "1", "--rho", "1e-300", "--alpha", "1",
+      "--distance", "1e10", "--beta", "0.5"],
+     {"finite_time_alpha2": "bound", "finite_time_general": "bound",
+      "fixed_time_second_order": "4*rho*mu^2/(alpha*L)", "fixed_time_fractional": "4*rho*mu^2/(alpha*L)"}),
+    (["--lipschitz", "1", "--strong-convexity", "1e-100", "--rho", "1e-300", "--alpha", "0.5",
+      "--distance", "1"],
+     {"finite_time_general": "rho*mu^(2-alpha)*alpha", "fixed_time_second_order": "4*rho*mu^2/(alpha*L)"}),
+]
+
+
+@pytest.mark.parametrize(
+    "args,blamed",
+    OUT_OF_RANGE_BOUNDS,
+    ids=["radicand_overflow", "bound_overflow", "denominator_underflow"],
+)
+def test_bounds_out_of_range_rows(capsys, args, blamed):
+    rc, out, err = invoke(capsys, ["bounds"] + args)
+    rows = dict(line.split(None, 1) for line in out.splitlines())
+    for rule, text in rows.items():
+        if rule in blamed:
+            assert text.startswith("inapplicable:") and blamed[rule] in text, text
+            assert "double range" in text
+        elif text.startswith("bound="):
+            value = float(text.split("=")[1].split()[0])
+            assert 0.0 < value < math.inf
+    assert rc == (0 if any(t.startswith("bound=") for t in rows.values()) else 2)
+    assert "Traceback" not in err
+
+
 class TestRunCommand:
     def test_artifacts_and_echo(self, tmp_path, capsys):
         out_dir = str(tmp_path / "out")
@@ -416,6 +545,15 @@ class TestRunErrors:
         assert "directory" in err
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    def test_output_path_is_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        path = write_config(tmp_path, identity_run_config(str(tmp_path / "out")))
+        rc, out, err = invoke(capsys, ["run", "--config", path, "--out", str(taken)])
+        assert rc == 2
+        assert str(taken) in err
+        assert "Traceback" not in err and "wrote" not in out
+
     def test_invalid_config_file(self, tmp_path, capsys):
         # the config the CI runs through the console script to expect exit 2
         path = os.path.join(ROOT, "tests", "data", "unknown_problem_key.json")
@@ -508,6 +646,15 @@ class TestSweepCommand:
             assert float(row[1]) > 0
         assert os.path.exists(os.path.join(out_dir, "fam_00_x0_1_1.csv"))
         assert os.path.exists(os.path.join(out_dir, "fam_01_x0_3_4.csv"))
+
+    def test_output_path_is_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        path = write_config(tmp_path, self.sweep_config(str(tmp_path / "out")))
+        rc, out, err = invoke(capsys, ["sweep", "--config", path, "--out", str(taken)])
+        assert rc == 2
+        assert str(taken) in err
+        assert "Traceback" not in err and "wrote" not in out
 
     def test_single_variation_matches_run(self, tmp_path, capsys):
         run_dir = str(tmp_path / "single")

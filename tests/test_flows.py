@@ -346,3 +346,68 @@ class TestBoundReport:
             BoundReport(rule="x", bound=-1.0, inputs={})
         with pytest.raises(ValueError):
             BoundReport(rule="x", bound=math.nan, inputs={})
+
+
+class TestBoundsInDoubleRange:
+    """Arithmetic that leaves double range raises ConditionNotMetError naming
+    the quantity, so every returned bound is finite, and positive unless the
+    initial distance is zero."""
+
+    @pytest.mark.parametrize(
+        "call,quantity",
+        [
+            # the second-order radicand overflows and the bound would read 0
+            (lambda: bound_fixed_time_second_order(1.0, 1.0, 1e308, 0.1), r"4\*rho\*mu\^2/\(alpha\*L\)"),
+            # the drive coefficient underflows: the message blames it, not rho
+            (lambda: bound_fixed_time_fractional(1e300, 1.0, 1e-300, 1.0, 0.5), r"4\*rho\*mu\^2/\(alpha\*L\)"),
+            (lambda: bound_fixed_time_second_order(1e-300, 1.0, 1.0, 1e-300), r"4\*rho\*mu\^2/\(alpha\*L\)"),
+            # the finite-time bounds overflow
+            (lambda: bound_finite_time(1e300, 1e-300, 2.0, 1e10), r"L\*d\^2/\(2\*rho\)"),
+            (lambda: bound_finite_time(1e300, 1e-300, 1.0, 1e10, strong_convexity=1.0), r"L\*d\^alpha/"),
+            (lambda: bound_finite_time(1.0, 1.0, 1.9, 1e300, strong_convexity=1.0), r"L\*d\^alpha/"),
+            # the finite-time denominator underflows (a division by zero) or overflows
+            (lambda: bound_finite_time(1.0, 1e-300, 0.5, 1.0, strong_convexity=1e-100), r"rho\*mu\^\(2-alpha\)\*alpha"),
+            (lambda: bound_finite_time(1.0, 1.0, 0.1, 1.0, strong_convexity=1e300), r"rho\*mu\^\(2-alpha\)\*alpha"),
+            # the bound underflows for a positive distance
+            (lambda: bound_finite_time(1e-300, 1e300, 2.0, 1e-10), r"L\*d\^2/\(2\*rho\)"),
+        ],
+        ids=[
+            "second_order_coefficient_overflow",
+            "fractional_coefficient_underflow",
+            "second_order_coefficient_division_by_zero",
+            "alpha2_bound_overflow",
+            "general_bound_overflow",
+            "general_power_overflow",
+            "general_denominator_underflow",
+            "general_denominator_overflow",
+            "alpha2_bound_underflow",
+        ],
+    )
+    def test_out_of_range_names_the_quantity(self, call, quantity):
+        with pytest.raises(ConditionNotMetError, match=quantity + ".*double range"):
+            call()
+
+    def test_zero_distance_with_extreme_constants(self):
+        assert bound_finite_time(1e-300, 1e300, 2.0, 0.0).bound == 0.0
+        assert bound_finite_time(1e300, 1e-300, 1.0, 0.0, strong_convexity=1.0).bound == 0.0
+
+    def test_every_returned_bound_is_finite(self):
+        scales = (1e-300, 1e-150, 1.0, 1e150, 1e300)
+        for L in scales:
+            for mu in scales:
+                for rho in scales:
+                    for alpha in (0.1, 1.0, 2.0):
+                        calls = [
+                            lambda: bound_fixed_time_second_order(L, mu, rho, alpha),
+                            lambda: bound_fixed_time_fractional(L, mu, rho, alpha, 0.5),
+                        ]
+                        calls += [
+                            lambda d=d: bound_finite_time(L, rho, alpha, d, strong_convexity=mu)
+                            for d in scales
+                        ]
+                        for call in calls:
+                            try:
+                                bound = call().bound
+                            except (ConditionNotMetError, ZeroSearchError):
+                                continue
+                            assert 0.0 < bound < math.inf

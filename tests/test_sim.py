@@ -217,6 +217,20 @@ class TestFailureModes:
             integrate(law, concave, [1.0, 0.0], SimOptions(step=1e-3, horizon=2.0))
         assert 0.8 < exc.value.last_valid_time < 1.0
 
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_last_valid_time_is_the_last_accepted_state(self, stride):
+        # the step from t = 0.930 fails; with stride 7 the last recorded time
+        # is 0.924, but the last accepted state is still at 0.930
+        concave = custom_problem(
+            1, value=lambda x: -float(x @ x), gradient=lambda x: -2.0 * np.asarray(x, dtype=float)
+        )
+        law = FlowLaw("finite_time", 10.0, 1e-3)
+        opts = SimOptions(step=1e-3, horizon=2.0, record_stride=stride)
+        with pytest.raises(DivergenceError) as exc:
+            integrate(law, concave, [1.0], opts)
+        assert exc.value.last_valid_time == pytest.approx(0.930, abs=1e-9)
+        assert "last valid t=0.93)" in str(exc.value)
+
     def test_nonfinite_gradient_is_divergence(self):
         def grad(x):
             x = np.asarray(x, dtype=float)
@@ -487,6 +501,20 @@ def test_gradient_calls_per_unguarded_step(monkeypatch, name, per_step, minimize
     assert steps > 300
     assert calls[0] == per_step * steps + (minimizer is None)
     assert fields[0] == (steps if minimizer else 0)
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_gradient_calls_at_the_horizon(name):
+    # a run the horizon ends evaluates no field at its last state: one
+    # gradient at each predicted point and one at each earlier state
+    prob, calls = counting_problem([0.0, 0.0])
+    opts = SimOptions(step=1e-3, horizon=0.2, eps_x=1e-9)
+    tr = integrate(LAWS[name], prob, [10.0, -10.0], opts)
+    assert tr.convergence_time is None
+    assert tr.diagnostics["substepped_steps"] == 0
+    steps = len(tr.times) - 1
+    assert steps == 200
+    assert calls[0] == 2 * steps
 
 
 UNGUARDED = SimOptions(step=1e-3, horizon=3.0, eps_x=3e-2)
