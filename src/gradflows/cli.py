@@ -12,6 +12,7 @@ path, 3 simulation failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -167,17 +168,6 @@ def _trajectory_csv(traj) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bound_payload(report) -> dict:
-    return {
-        "rule": report.rule,
-        "bound": report.bound,
-        "inputs": dict(report.inputs),
-        "observed": report.observed,
-        "notes": list(report.notes),
-        "extras": dict(report.extras),
-    }
-
-
 def _sanitize(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", label).strip("_") or "run"
 
@@ -203,7 +193,7 @@ def cmd_run(args) -> int:
         report = applicable_bound(law, problem, x0)
         if traj.convergence_time is not None:
             report = report.with_observed(traj.convergence_time)
-        bound_payload = _bound_payload(report)
+        bound_payload = dataclasses.asdict(report)
     except (InsufficientConstantsError, ConditionNotMetError, ZeroSearchError) as exc:
         bound_error = str(exc)
 

@@ -332,7 +332,10 @@ def bound_fixed_time_second_order(
     notes = ()
     extras = {}
     if alpha == 2.0:
-        extras["alpha2_variant_bound"] = math.pi / math.sqrt(2.0 * c - 0.25 * lam * lam)
+        # pi / sqrt(2c - lam^2/4) without forming 2c, which can overflow
+        extras["alpha2_variant_bound"] = (
+            math.pi / math.sqrt(2.0) / math.sqrt(c - 0.125 * lam * lam)
+        )
         notes = (
             "alpha=2 has an alternate stated form with coefficient 4*rho*mu^2/L; "
             "the general-formula value is authoritative",

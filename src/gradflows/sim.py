@@ -7,10 +7,13 @@ advances on the same uniform grid.  Near the minimizer the regularized field
 becomes stiff for an explicit scheme (its local rate scales like
 rho/delta^alpha), so each step carries a guard: when the step looks
 oscillatory or the Lyapunov value would tick up past a small fraction of its
-allowance, the step is redone with power-of-two substeps until the ascent is
-resolved.  Substeps refine only the decision vector's clock; the fractional
-memory stays on the coarse grid (its own right-hand side is smooth through
-the terminal zone).
+allowance, the step is redone with power-of-two substeps.  One rule picks
+their count: enough for the trial's rate, then four times more until every
+substep's rate-times-step is inside the scheme's monotone-stable range or the
+count reaches its cap.  Ascent left after that is accepted and counted as
+`residual_ascent_steps`.  Substeps refine only the decision vector's clock;
+the fractional memory stays on the coarse grid (its own right-hand side is
+smooth through the terminal zone).
 
 Fields are plain (dx, dtheta) tuples.  The field at a state the step
 starts from (an accepted state or a substep's start) is a direct call of
@@ -235,6 +238,10 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
         v_new = dist_new ** 2
         return dist_new, v_new, v_new - v
 
+    def accepted_field(theta):
+        # the field at the accepted state x, reusing a gradient detection fetched
+        return field_at(x, theta) if xstar is not None else _rhs(law, g, norm_g, theta)
+
     # accepted states k = 0..n_steps, the start included; at each one:
     # detection, the record, the return, then the field there
     theta = 0.0 if law.uses_gain else None
@@ -263,7 +270,7 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
                 convergence_time=t if done else None,
                 diagnostics=diagnostics,
             )
-        d1 = field_at(x, theta) if xstar is not None else _rhs(law, g, norm_g, theta)
+        d1 = accepted_field(theta)
 
         x_new, theta_new, rate_times_step = _heun(field_at, trial, x, theta, d1, h, 1)
         if xstar is not None:
@@ -274,29 +281,20 @@ def integrate(law: FlowLaw, problem: Problem, x0, opts: Optional[SimOptions] = N
             if guard is not trial:
                 # the guard holds the gain at the trial's corrected value
                 theta_g = theta_new
-                d1_g = field_at(x, theta_g) if xstar is not None else _rhs(law, g, norm_g, theta_g)
+                d1_g = accepted_field(theta_g)
             m = 2
             while m * _UPTICK_TARGET < rate_times_step and m < _MAX_SUBSTEPS:
                 m *= 2
-            x_new, theta_new, sub_rate = _heun(field_at, guard, x, theta_g, d1_g, h, m)
-            # stability escalation: a substepped map still outside the
-            # monotone range can park on a spurious cycle that never enters
-            # the detection ball, so refine until the local rate is resolved
-            while sub_rate > _SUBSTEP_RATE_CAP and m < _MAX_SUBSTEPS:
-                m = min(m * 4, _MAX_SUBSTEPS)
+            # a substepped map still outside the monotone range can park on a
+            # spurious cycle that never enters the detection ball, so refine
+            # until the local rate is resolved; a NaN rate ends the loop
+            while True:
                 x_new, theta_new, sub_rate = _heun(field_at, guard, x, theta_g, d1_g, h, m)
+                if not sub_rate > _SUBSTEP_RATE_CAP or m >= _MAX_SUBSTEPS:
+                    break
+                m = min(m * 4, _MAX_SUBSTEPS)
             if xstar is not None:
                 dist_new, v_new, ascent = measured(x_new)
-                while ascent > v_quarter and m < _MAX_SUBSTEPS:
-                    m_next = min(m * 4, _MAX_SUBSTEPS)
-                    x_try, theta_try, _ = _heun(field_at, guard, x, theta_g, d1_g, h, m_next)
-                    dist_try, v_try, try_ascent = measured(x_try)
-                    improved = try_ascent <= 0.5 * ascent
-                    if try_ascent < ascent:
-                        x_new, theta_new, m = x_try, theta_try, m_next
-                        dist_new, v_new, ascent = dist_try, v_try, try_ascent
-                    if not improved:
-                        break
                 if ascent > v_quarter:
                     diagnostics["residual_ascent_steps"] += 1
             diagnostics["substepped_steps"] += 1

@@ -441,6 +441,33 @@ class TestRunCommand:
         x = [float(rows[-1][1]), float(rows[-1][2])]
         assert math.hypot(*x) <= 1e-3
 
+    def test_horizon_override_without_convergence(self, tmp_path, capsys):
+        # the identity run converges near t = 0.5; the flag cuts it at 0.1
+        out_dir = str(tmp_path / "out")
+        path = write_config(tmp_path, identity_run_config(out_dir))
+        rc, out, _ = invoke(capsys, ["run", "--config", path, "--horizon", "0.1"])
+        assert rc == 0
+        assert out.startswith("no convergence before t=0.1  bound=")
+        _, rows = read_csv(os.path.join(out_dir, "job.csv"))
+        assert float(rows[-1][0]) == pytest.approx(0.1)
+        with open(os.path.join(out_dir, "job_report.json")) as fh:
+            report = json.load(fh)
+        assert report["converged"] is False and report["convergence_time"] is None
+        assert report["bound"]["observed"] is None
+
+    def test_bound_error_reported(self, tmp_path, capsys):
+        # the Zakharov problem carries no curvature constants
+        out_dir = str(tmp_path / "out")
+        cfg = identity_run_config(out_dir, problem={"name": "zakharov", "dimension": 2},
+                                  initial=[0.5, 0.5])
+        rc, out, _ = invoke(capsys, ["run", "--config", write_config(tmp_path, cfg)])
+        assert rc == 0
+        assert "bound=" not in out
+        with open(os.path.join(out_dir, "job_report.json")) as fh:
+            report = json.load(fh)
+        assert report["bound"] is None
+        assert "constant" in report["bound_error"]
+
 
 class TestRunErrors:
     def test_malformed_json_no_artifacts(self, tmp_path, capsys):
@@ -561,6 +588,19 @@ class TestRunErrors:
         rc, _, err = invoke(capsys, ["run", "--config", path, "--out", str(out_dir)])
         assert rc == 2
         assert "matrx" in err
+        assert not out_dir.exists()
+
+    def test_unreadable_config_path(self, tmp_path, capsys):
+        rc, _, err = invoke(capsys, ["run", "--config", str(tmp_path / "missing.json")])
+        assert rc == 2
+        assert "cannot read" in err
+
+    def test_invalid_sim_value(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        cfg = identity_run_config(str(out_dir), sim={"step": -1e-3, "horizon": 2.0})
+        rc, _, err = invoke(capsys, ["run", "--config", write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert "invalid sim options" in err
         assert not out_dir.exists()
 
     def test_usage_error(self, capsys):
@@ -687,6 +727,16 @@ class TestSweepCommand:
         assert "error" in rows[0][-1]
         assert rows[0][1] == ""
         assert rows[1][-1] == "ok"
+
+    def test_no_detection_status(self, tmp_path, capsys):
+        out_dir = str(tmp_path / "out")
+        cfg = self.sweep_config(out_dir)
+        cfg["sim"]["horizon"] = 0.05
+        rc, _, _ = invoke(capsys, ["sweep", "--config", write_config(tmp_path, cfg)])
+        assert rc == 0
+        _, rows = read_csv(os.path.join(out_dir, "fam_summary.csv"))
+        assert [(r[1], r[-1]) for r in rows] == [("", "no_detection")] * 2
+        assert all(float(r[2]) > 0.0 for r in rows)
 
     def test_total_failure_exits_3(self, tmp_path, capsys):
         out_dir = str(tmp_path / "out")

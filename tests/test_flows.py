@@ -247,6 +247,12 @@ class TestSecondOrderBound:
         assert r.notes  # the discrepancy is called out
         r1 = bound_fixed_time_second_order(4.30, 0.70, 10.0, 1.0, lam=1.0)
         assert "alpha2_variant_bound" not in r1.extras
+        # 2c overflows here although c and the bound are in range; the
+        # variant is the bound over sqrt(2) at lambda = 0, not 0.0
+        big = bound_fixed_time_second_order(0.5, 1.0, 4e307, 2.0)
+        variant = big.extras["alpha2_variant_bound"]
+        assert math.isfinite(variant) and variant > 0.0
+        assert abs(variant / (big.bound / math.sqrt(2.0)) - 1.0) <= 1e-15
 
     def test_near_threshold_still_finite(self):
         L, mu, rho, alpha = 4.30, 0.70, 10.0, 1.0

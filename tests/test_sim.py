@@ -438,6 +438,19 @@ class TestApplicableBound:
         with pytest.raises(InsufficientConstantsError):
             applicable_bound(SO, zakharov_problem(2), [1.0, 1.0])
 
+    def test_finite_time_needs_the_minimizer(self):
+        prob = custom_problem(2, value=lambda x: float(x @ x), gradient=lambda x: 2.0 * x,
+                              lipschitz=2.0)
+        with pytest.raises(InsufficientConstantsError, match="minimizer"):
+            applicable_bound(FT1, prob, [1.0, 1.0])
+
+    @pytest.mark.parametrize("law", [SO, FR], ids=["second_order", "fractional"])
+    def test_fixed_time_needs_strong_convexity(self, law):
+        prob = custom_problem(2, value=lambda x: float(x @ x), gradient=lambda x: 2.0 * x,
+                              minimizer=[0.0, 0.0], lipschitz=2.0)
+        with pytest.raises(InsufficientConstantsError, match="strong-convexity"):
+            applicable_bound(law, prob, [1.0, 1.0])
+
     @pytest.mark.parametrize("law", [FT1, SO], ids=["finite_time", "second_order"])
     @pytest.mark.parametrize("x0", [[3.0], 3.0, [3.0, 3.0, 3.0], [[3.0, 3.0]]])
     def test_wrong_shaped_start(self, law, x0):
@@ -566,3 +579,17 @@ def test_guard_without_minimizer(name):
     assert tr.lyapunov is None
     assert tr.diagnostics["substepped_steps"] > 0
     assert tr.diagnostics["residual_ascent_steps"] == 0
+
+
+def test_residual_ascent_counted():
+    # at delta = 0 the field's rate grows without bound near the minimizer:
+    # the one guarded step reaches the substep cap with the ascent still past
+    # the guard's target, and is accepted and counted
+    law = FlowLaw("finite_time", 10.0, 2.0, delta=0.0)
+    tr = integrate(law, EYE, [1.0, 1.0], SimOptions(step=1e-4, horizon=1.0))
+    assert tr.convergence_time == 0.20020000000000002
+    assert tr.diagnostics == {
+        "substepped_steps": 1,
+        "max_substeps": 65536,
+        "residual_ascent_steps": 1,
+    }
