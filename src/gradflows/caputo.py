@@ -186,11 +186,8 @@ class CaputoChannel:
             raise InconsistentStateError("predict needs at least one stored sample")
         real_in("step", step)
         lo = len(self._g) - n
-        if n < _BLOCK:
-            acc = float(np.dot(self._pd[:n], self._g[lo:]))
-        else:
-            r = n % _BLOCK
-            acc = float(self._far[0, n]) + float(np.dot(self._pd[:r], self._g[lo : lo + r]))
+        r = n % _BLOCK
+        acc = float(self._far[0, n]) + float(np.dot(self._pd[:r], self._g[lo : lo + r]))
         return self.initial_value + step ** self.beta * self._rg1 * acc
 
     def correct(self, step: float, new_sample: float) -> float:

@@ -53,18 +53,10 @@ def gamma(x: float) -> float:
 
 
 def _rgamma(x: float) -> float:
-    """Reciprocal gamma, entire in x; exactly 0.0 at the poles of gamma."""
+    """Reciprocal gamma for x > 0, the domain of alpha * k + beta and beta."""
     if x > 171.6:
         return 0.0  # gamma overflows double range; reciprocal underflows
-    if x > 0.0:
-        return 1.0 / math.gamma(x)
-    if x == math.floor(x):
-        return 0.0
-    s = math.sin(math.pi * x)
-    mag = math.lgamma(1.0 - x) + math.log(abs(s) / math.pi)
-    if mag > 709.0:
-        raise OverflowError("reciprocal gamma overflows at x=%g" % x)
-    return math.copysign(math.exp(mag), s)
+    return 1.0 / math.gamma(x)
 
 
 @dataclass(frozen=True)
@@ -86,19 +78,6 @@ class MLSpec:
 # _COEF_CACHE_SIZE pairs so that a sweep over orders cannot grow it for ever.
 _COEF_CACHE_SIZE = 256
 _coef_cache: dict[tuple[float, float], list[float]] = {}
-
-
-def _series_peak_nats(alpha: float, beta: float, x: float) -> float:
-    """Crude log-magnitude bound on the largest series term at |z| = x."""
-    if x <= 1.0:
-        return 0.0
-    lx = math.log(x)
-
-    def p(k):
-        return k * lx - math.lgamma(alpha * k + beta)
-
-    kstar = max(1.0, x ** (1.0 / alpha) / alpha)
-    return max(0.0, p(1.0), p(2.0), p(kstar))
 
 
 def _series_double(alpha: float, beta: float, z: float, kmax: int) -> float | None:
@@ -135,15 +114,19 @@ def _series_route(alpha: float, beta: float, z: float, tol: float) -> float | No
     x = abs(z)
     if math.log(x + 1.0) > 700.0 * alpha:
         return None  # x**(1/alpha) would overflow: no tol admits such a hump
-    peak = _series_peak_nats(alpha, beta, x)
+    root = x ** (1.0 / alpha)
+    kstar = max(1.0, root / alpha)
+    peak = 0.0  # crude log-magnitude bound on the largest term, from k = 1, 2, k*
+    if x > 1.0:
+        lx = math.log(x)
+        peak = max(0.0, *(k * lx - math.lgamma(alpha * k + beta) for k in (1.0, 2.0, kstar)))
     hump = math.exp(min(peak, 700.0))
     # Double precision must absorb both plain roundoff on the largest term and
     # the noise injected by rounding the gamma arguments alpha*k + beta.
-    argmax = x ** (1.0 / alpha) + beta + 2.0
+    argmax = root + beta + 2.0
     transfer = 0.5 * _EPS * argmax * max(1.0, math.log(argmax)) * 3.0
     if hump * (2.0 * _EPS + transfer) > 0.25 * tol:
         return None
-    kstar = max(1.0, x ** (1.0 / alpha) / alpha)
     return _series_double(alpha, beta, z, int(max(250, 8.0 * kstar + 50.0)))
 
 
@@ -239,6 +222,11 @@ def _integral_route(alpha: float, beta: float, z: float) -> float:
         off = (split - r0) + np.concatenate((-span * _TS_V, _ES_D))  # r - r0
         r = np.concatenate((c + span * _TS_U, split + _ES_D))
         weights = np.concatenate((span * _TS_W, _ES_W))
+        if theta == 0.0:
+            # pole on the cut: drop an exp-sinh node that lands on it (off == 0,
+            # as at r0 = 41); weight times value there is below 1e-16
+            keep = off != 0.0
+            off, r, weights = off[keep], r[keep], weights[keep]
         # log(r / r0) from the offset, as log1p of a positive ratio on either side
         lg = np.copysign(np.log1p(np.abs(off) / np.where(off < 0.0, r, r0)), off)
         rise = x * np.expm1(alpha * lg)
@@ -363,39 +351,26 @@ class ZeroQuery:
 def ml_first_positive_zero(query: ZeroQuery, *, tol: float = 1e-6, horizon: float = 100.0) -> float:
     """Locate the smallest t > 0 where the queried form crosses zero.
 
-    Forward sampling at a step of 0.1 in scaled time s = rho^{1/alpha} t
-    brackets the first sign change, bisection refines it to absolute
-    tolerance `tol`, or until the midpoint no longer moves in double
-    precision.  The step cannot skip a zero: both forms are functions of
-    z = -s^alpha alone (up to the positive factor t^{alpha-1}), so their sign
-    pattern in s does not depend on rho; for 1 < alpha < 2 the first zeros lie
-    past s = 1.5 and neighbouring zeros are about pi or more apart in s
-    (E_{2,1}(-s^2) = cos s), far wider than the step.  Raises ZeroSearchError
-    when no sign change shows up before `horizon` (parameters outside the
-    guaranteed regime), and ValueError when `tol` or `horizon` is not a
-    positive finite real.
+    The search brackets `ml_kernel_eval` at beta = 1 (standard form) or
+    beta = alpha (kernel form).  Forward sampling at a step of 0.1 in scaled
+    time s = rho^{1/alpha} t brackets the first sign change, and an exact 0.0
+    counts as one; bisection refines it to absolute tolerance `tol`, or until
+    the midpoint no longer moves in double precision.  The step cannot skip a
+    zero: both forms are functions of z = -s^alpha alone (up to the positive
+    factor t^{alpha-1}), so their sign pattern in s does not depend on rho;
+    for 1 < alpha < 2 the first zeros lie past s = 1.5 and neighbouring zeros
+    are about pi or more apart in s (E_{2,1}(-s^2) = cos s), far wider than
+    the step.  Raises ZeroSearchError when no sign change shows up before
+    `horizon` (parameters outside the guaranteed regime), and ValueError when
+    `tol` or `horizon` is not a positive finite real.
     """
     real_in("tol", tol)
     real_in("horizon", horizon)
     a, r = query.alpha, query.rho
-    if query.kind is ZeroKind.STANDARD_FORM:
-        spec = MLSpec(a, 1.0)
-
-        def f(t):
-            return ml_eval(spec, -r * t ** a)
-
-    else:
-        spec = MLSpec(a, a)
-
-        def f(t):
-            return t ** (a - 1.0) * ml_eval(spec, -r * t ** a)
-
+    spec = MLSpec(a, 1.0 if query.kind is ZeroKind.STANDARD_FORM else a)
     step = 0.1 * r ** (-1.0 / a)
     t_lo = step
-    f_lo = f(t_lo)
-    if f_lo == 0.0:
-        return t_lo
-    t_hi = t_lo
+    pos = ml_kernel_eval(spec, r, t_lo) > 0.0  # the sign at the first sample
     while True:
         t_hi = t_lo + step
         if t_hi > horizon:
@@ -403,21 +378,17 @@ def ml_first_positive_zero(query: ZeroQuery, *, tol: float = 1e-6, horizon: floa
                 "no sign change of the %s form before t=%g (alpha=%g, rho=%g)"
                 % (query.kind.value, horizon, a, r)
             )
-        f_hi = f(t_hi)
-        if f_hi == 0.0:
-            return t_hi
-        if (f_lo > 0) != (f_hi > 0):
+        v = ml_kernel_eval(spec, r, t_hi)
+        if not (v > 0.0 if pos else v < 0.0):  # a sign change or an exact zero
             break
-        t_lo, f_lo = t_hi, f_hi
+        t_lo = t_hi
     while t_hi - t_lo > tol:
         mid = 0.5 * (t_lo + t_hi)
         if not t_lo < mid < t_hi:
             break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (f_lo > 0):
-            t_lo, f_lo = mid, fm
+        v = ml_kernel_eval(spec, r, mid)
+        if (v > 0.0 if pos else v < 0.0):
+            t_lo = mid
         else:
             t_hi = mid
     return 0.5 * (t_lo + t_hi)

